@@ -117,6 +117,21 @@ pub struct ProgressiveOptions {
     pub target_ci_width: Option<f64>,
 }
 
+impl ProgressiveOptions {
+    /// Checks the early-stop target, which must be unset or a positive
+    /// finite number. The progressive executors run this before any work,
+    /// so a caller that stratifies on its own can check it first too.
+    ///
+    /// # Errors
+    /// [`ConfigError::BadTargetWidth`] for any other target.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self.target_ci_width {
+            Some(w) if !(w.is_finite() && w > 0.0) => Err(ConfigError::BadTargetWidth(w)),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Output of the chunked sampling core shared by every entry point.
 struct ChunkedRun {
     /// Pilot estimates (empty when the run stopped during Stage 1).
@@ -403,6 +418,9 @@ pub fn run_abae_with_ci<O: Oracle, R: Rng + ?Sized>(
 /// [`run_abae_with_ci`] (which delegates here), so seeded results are
 /// stable. An empty `aggs` still runs the sampling pass and returns no
 /// answers.
+///
+/// This validates `config`, stratifies the scores (`ABaeInit`) and runs
+/// [`run_abae_multi_with_ci_stratified`].
 pub fn run_abae_multi_with_ci<O: Oracle, R: Rng + ?Sized>(
     proxy_scores: &[f64],
     oracle: &O,
@@ -412,8 +430,27 @@ pub fn run_abae_multi_with_ci<O: Oracle, R: Rng + ?Sized>(
 ) -> Result<MultiAggResult, ConfigError> {
     config.validate()?;
     let strat = Stratification::by_proxy_quantile(proxy_scores, config.strata);
+    run_abae_multi_with_ci_stratified(&strat, oracle, config, aggs, rng)
+}
+
+/// [`run_abae_multi_with_ci`] on a stratification the caller already
+/// built, so one `ABaeInit` sort can serve any number of runs over the
+/// same scores. A stratification depends only on the scores and `K`, so
+/// passing a stored one gives the same answer, bit for bit, as passing
+/// the scores. As in [`run_two_stage`], the stratification's own `K` is
+/// the one sampled.
+///
+/// # Errors
+/// Returns the configuration's validation error, if any.
+pub fn run_abae_multi_with_ci_stratified<O: Oracle, R: Rng + ?Sized>(
+    strat: &Stratification,
+    oracle: &O,
+    config: &AbaeConfig,
+    aggs: &[Aggregate],
+    rng: &mut R,
+) -> Result<MultiAggResult, ConfigError> {
     let primary = aggs.first().copied().unwrap_or(Aggregate::Avg);
-    let run = run_two_stage(&strat, oracle, config, primary, rng)?;
+    let run = run_two_stage(strat, oracle, config, primary, rng)?;
     let sizes = strat.sizes();
     let cis = stratified_bootstrap_cis(&run.samples, &sizes, aggs, &config.bootstrap, rng);
     let answers = aggs
@@ -476,6 +513,9 @@ fn snapshot_from_stats(
 ///   target, charging only the budget actually consumed; the final
 ///   snapshot is the one that met the target.
 ///
+/// This validates `config` and `progressive`, stratifies the scores
+/// (`ABaeInit`) and runs [`run_abae_multi_progressive_stratified`].
+///
 /// # Errors
 /// Returns the configuration's validation error, or
 /// [`ConfigError::BadTargetWidth`] when the target is not a positive
@@ -487,15 +527,43 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
     aggs: &[Aggregate],
     progressive: &ProgressiveOptions,
     rng: &mut R,
+    on_snapshot: impl FnMut(&Snapshot),
+) -> Result<MultiAggResult, ConfigError> {
+    config.validate()?;
+    progressive.validate()?;
+    let strat = Stratification::by_proxy_quantile(proxy_scores, config.strata);
+    run_abae_multi_progressive_stratified(
+        &strat,
+        oracle,
+        config,
+        aggs,
+        progressive,
+        rng,
+        on_snapshot,
+    )
+}
+
+/// [`run_abae_multi_progressive`] on a stratification the caller already
+/// built — the anytime counterpart of
+/// [`run_abae_multi_with_ci_stratified`], with the same bit-identity: a
+/// stored stratification of the same scores and `K` gives the same
+/// snapshots and answer as passing the scores.
+///
+/// # Errors
+/// Returns the configuration's validation error, or
+/// [`ConfigError::BadTargetWidth`] when the target is not a positive
+/// finite number.
+pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
+    strat: &Stratification,
+    oracle: &O,
+    config: &AbaeConfig,
+    aggs: &[Aggregate],
+    progressive: &ProgressiveOptions,
+    rng: &mut R,
     mut on_snapshot: impl FnMut(&Snapshot),
 ) -> Result<MultiAggResult, ConfigError> {
     config.validate()?;
-    if let Some(w) = progressive.target_ci_width {
-        if !(w.is_finite() && w > 0.0) {
-            return Err(ConfigError::BadTargetWidth(w));
-        }
-    }
-    let strat = Stratification::by_proxy_quantile(proxy_scores, config.strata);
+    progressive.validate()?;
     let sizes = strat.sizes();
     let chunk = progressive.chunk.unwrap_or(config.exec.batch_size).max(1);
     let target = progressive.target_ci_width;
@@ -518,7 +586,7 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
             }
             stop
         };
-        two_stage_chunked(&strat, oracle, config, chunk, rng, &mut observe)
+        two_stage_chunked(strat, oracle, config, chunk, rng, &mut observe)
     };
 
     if run.stopped {
@@ -920,6 +988,67 @@ mod tests {
         let blocking =
             run_abae_multi_with_ci(&scores, &oracle, &cfg, &[Aggregate::Avg], &mut rng).unwrap();
         assert_eq!(progressive, blocking, "an unmet target must not change the answer");
+    }
+
+    #[test]
+    fn a_stored_stratification_answers_exactly_like_the_scores() {
+        let (scores, labels, values) = make_population(10_000);
+        let cfg = AbaeConfig {
+            budget: 800,
+            bootstrap: crate::config::BootstrapConfig { trials: 60, alpha: 0.05 },
+            ..Default::default()
+        };
+        let aggs = [Aggregate::Avg, Aggregate::Sum];
+        let opts = ProgressiveOptions { chunk: Some(50), target_ci_width: Some(2.0) };
+        // One stratification serves every run, as a cached one does.
+        let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+        for seed in [1u64, 2] {
+            let oracle = || oracle_for(labels.clone(), values.clone());
+            let rng = || StdRng::seed_from_u64(seed);
+            let blocking =
+                run_abae_multi_with_ci(&scores, &oracle(), &cfg, &aggs, &mut rng()).unwrap();
+            let stored =
+                run_abae_multi_with_ci_stratified(&strat, &oracle(), &cfg, &aggs, &mut rng())
+                    .unwrap();
+            assert_eq!(stored, blocking, "seed {seed}");
+
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let fresh = run_abae_multi_progressive(
+                &scores,
+                &oracle(),
+                &cfg,
+                &aggs,
+                &opts,
+                &mut rng(),
+                |s| a.push(s.clone()),
+            )
+            .unwrap();
+            let stored = run_abae_multi_progressive_stratified(
+                &strat,
+                &oracle(),
+                &cfg,
+                &aggs,
+                &opts,
+                &mut rng(),
+                |s| b.push(s.clone()),
+            )
+            .unwrap();
+            assert_eq!(stored, fresh, "seed {seed}");
+            assert_eq!(b, a, "seed {seed}");
+        }
+        // The stratified forms validate like the wrappers do.
+        let bad = ProgressiveOptions { chunk: None, target_ci_width: Some(0.0) };
+        let err = run_abae_multi_progressive_stratified(
+            &strat,
+            &oracle_for(labels, values),
+            &cfg,
+            &aggs,
+            &bad,
+            &mut StdRng::seed_from_u64(3),
+            |_| {},
+        )
+        .unwrap_err();
+        assert_eq!(err, ConfigError::BadTargetWidth(0.0));
     }
 
     #[test]

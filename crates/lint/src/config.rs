@@ -50,7 +50,7 @@ pub struct FileClass {
     pub blessed_rng: bool,
     /// A pinned floating-point kernel module.
     pub pinned_float: bool,
-    /// Part of the bench crate.
+    /// Part of a measuring harness: the bench crate or the repo benchmark.
     pub bench: bool,
     /// A binary target (`src/bin/…` or a crate's `src/main.rs`).
     pub bin: bool,
@@ -77,7 +77,7 @@ pub fn classify(rel: &str) -> FileClass {
         never_panic: NEVER_PANIC_FILES.contains(&rel),
         blessed_rng: starts(BLESSED_RNG_PATHS),
         pinned_float: starts(PINNED_FLOAT_PATHS),
-        bench: rel.starts_with("crates/bench/"),
+        bench: rel.starts_with("crates/bench/") || rel.starts_with("benchmark/"),
         bin: rel.contains("/bin/") || rel.ends_with("src/main.rs"),
         example: rel.starts_with("examples/") || rel.contains("/examples/"),
         tests_dir: rel.starts_with("tests/") || rel.contains("/tests/"),
@@ -94,6 +94,10 @@ mod tests {
         assert!(c.result_path && !c.harness());
         let b = classify("crates/bench/src/bin/scan.rs");
         assert!(b.bench && b.bin && b.harness() && !b.result_path);
+        // The repo benchmark is a measuring harness too: it times layers
+        // and seeds its own statement streams.
+        let r = classify("benchmark/src/refresh.rs");
+        assert!(r.bench && r.harness() && !r.result_path);
         let t = classify("tests/invariants.rs");
         assert!(t.tests_dir && t.harness());
         let e = classify("examples/tv_news.rs");

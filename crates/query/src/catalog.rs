@@ -6,19 +6,21 @@
 //! registers — the moral equivalent of the paper's setup step where the
 //! user supplies the oracle and proxy for each predicate.
 
+use crate::strata_cache::StrataCache;
 use abae_data::{LabelStore, ProxyRegistry, Table};
 use std::collections::BTreeMap;
 
 /// A registry of tables and atom-key bindings, optionally carrying a
 /// cross-query [`LabelStore`] so repeated queries reuse oracle verdicts,
 /// and always carrying a [`ProxyRegistry`] of in-engine-trained proxy
-/// artifacts (`CREATE PROXY`).
+/// artifacts (`CREATE PROXY`) and a [`StrataCache`] of the stratifications
+/// built over proxy columns and trained models.
 ///
 /// Shared-ownership contract: a catalog is `Send + Sync` (tables and
-/// bindings are plain immutable data; the label store and proxy registry
-/// synchronize internally), which is what lets [`crate::Engine`] freeze
-/// one catalog behind an `Arc` and serve it to any number of concurrent
-/// sessions. Structural mutation (`register_table`, `bind_predicate`, the
+/// bindings are plain immutable data; the label store, proxy registry and
+/// strata cache synchronize internally), which is what lets
+/// [`crate::Engine`] freeze one catalog behind an `Arc` and serve it to
+/// any number of concurrent sessions. Structural mutation (`register_table`, `bind_predicate`, the
 /// cache toggles) is `&mut self` and therefore happens-before the engine
 /// is built; proxy registration goes through the internally-locked
 /// registry, so sessions can train proxies against a frozen catalog.
@@ -28,6 +30,7 @@ pub struct Catalog {
     bindings: BTreeMap<(String, String), String>,
     label_store: Option<LabelStore>,
     proxies: ProxyRegistry,
+    strata: StrataCache,
 }
 
 impl Catalog {
@@ -37,14 +40,16 @@ impl Catalog {
     }
 
     /// Registers a table under its own name. Replaces any previous table
-    /// with the same name, dropping any label-cache verdicts *and* trained
-    /// proxy artifacts bought against the replaced table's data — both
-    /// would otherwise answer queries over the new data.
+    /// with the same name, dropping any label-cache verdicts, trained
+    /// proxy artifacts *and* cached stratifications bought against the
+    /// replaced table's data — all would otherwise answer queries over the
+    /// new data.
     pub fn register_table(&mut self, table: Table) {
         if let Some(store) = &self.label_store {
             store.invalidate_table(table.name());
         }
         self.proxies.invalidate_table(table.name());
+        self.strata.invalidate_table(table.name());
         self.tables.insert(table.name().to_string(), table);
     }
 
@@ -120,6 +125,13 @@ impl Catalog {
     /// frozen.
     pub fn proxy_registry(&self) -> &ProxyRegistry {
         &self.proxies
+    }
+
+    /// The stratification cache scalar statements share: one
+    /// stratification per (table, proxy column or trained model, `K`).
+    /// Internally synchronized, always on.
+    pub fn strata_cache(&self) -> &StrataCache {
+        &self.strata
     }
 }
 
@@ -224,5 +236,41 @@ mod tests {
         cat.register_table(table()); // replace `t`
         assert!(cat.proxy_registry().get("t", "a").is_none(), "stale scores must drop");
         assert!(cat.proxy_registry().get("u", "b").is_some(), "other tables unaffected");
+    }
+
+    #[test]
+    fn re_registering_drops_cached_strata_of_that_table_only() {
+        use crate::plan::ScoreSource;
+        let column = |cat: &Catalog, tbl: &str| ScoreSource::Column {
+            name: "is_spam".to_string(),
+            scores: cat.table(tbl).unwrap().predicate("is_spam").unwrap().proxy_column().clone(),
+        };
+        let mut cat = Catalog::new();
+        cat.register_table(table());
+        cat.register_table(
+            Table::builder("u", vec![1.0, 2.0, 3.0])
+                .predicate("is_spam", vec![true, false, true], vec![0.7, 0.2, 0.9])
+                .build()
+                .unwrap(),
+        );
+        let old = cat.strata_cache().strata("t", &column(&cat, "t"), 2);
+        cat.strata_cache().strata("u", &column(&cat, "u"), 2);
+        assert_eq!(cat.strata_cache().cached_records(), 2 + 3);
+        assert_eq!(cat.strata_cache().builds(), 2);
+
+        // Replace `t` with different data under the same column name.
+        cat.register_table(
+            Table::builder("t", vec![5.0, 6.0, 7.0, 8.0])
+                .predicate("is_spam", vec![true; 4], vec![0.4, 0.3, 0.2, 0.1])
+                .build()
+                .unwrap(),
+        );
+        assert_eq!(cat.strata_cache().cached_records(), 3, "only `u` keeps its entry");
+        let fresh = cat.strata_cache().strata("t", &column(&cat, "t"), 2);
+        assert_eq!(cat.strata_cache().builds(), 3, "the new data is sorted again");
+        assert_eq!(fresh.strata(), &[vec![3, 2], vec![1, 0]]);
+        assert_ne!(*fresh, *old);
+        cat.strata_cache().strata("u", &column(&cat, "u"), 2);
+        assert_eq!(cat.strata_cache().hits(), 1, "other tables keep their strata");
     }
 }

@@ -196,7 +196,7 @@ pub(crate) fn run_create_proxy<R: Rng + ?Sized>(
     let train_scores: Vec<f64> = ids.iter().map(|&i| scores[i]).collect();
     let ece = expected_calibration_error(&train_scores, &labels, ECE_BINS);
 
-    Ok(catalog.proxy_registry().register(TrainedProxy {
+    let proxy = catalog.proxy_registry().register(TrainedProxy {
         name: stmt.name.clone(),
         table: stmt.table.clone(),
         predicate: column,
@@ -207,7 +207,11 @@ pub(crate) fn run_create_proxy<R: Rng + ?Sized>(
         oracle_spend,
         ece,
         auto_selected,
-    }))
+    });
+    // A model this one replaced keeps its cached strata only while a
+    // statement still holds it.
+    catalog.strata_cache().prune();
+    Ok(proxy)
 }
 
 /// Executes `SHOW PROXIES [FROM table]` against the catalog's registry.

@@ -108,10 +108,10 @@ struct EngineInner {
 }
 
 /// One engine-wide observability snapshot: session count, the batcher's
-/// lifetime counters, the label store's lifetime hit/miss totals, and the
-/// per-session oracle spend ledger. Returned by [`Engine::stats`]; the
-/// benches serialize it into their artifacts and `EXPLAIN` prints the
-/// batcher portion.
+/// lifetime counters, the label store's lifetime hit/miss totals, the
+/// strata cache's counters, and the per-session oracle spend ledger.
+/// Returned by [`Engine::stats`]; the benches serialize it into their
+/// artifacts and `EXPLAIN` prints the batcher portion.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Sessions auto-assigned by [`Engine::session`] so far.
@@ -123,6 +123,14 @@ pub struct EngineStats {
     pub label_hits: u64,
     /// Lifetime label-store misses (0 when the store is disabled).
     pub label_misses: u64,
+    /// Stratifications the catalog's strata cache built on a miss (two
+    /// sessions missing one key at once both count).
+    pub strata_builds: u64,
+    /// Scalar runs that reused a cached stratification instead of sorting.
+    pub strata_hits: u64,
+    /// Record indices the strata cache holds — its memory gauge, 8 bytes
+    /// each.
+    pub strata_cached_records: u64,
     /// Records labeled through admission per session, in session-id
     /// order — the fair-share spend ledger.
     pub per_session_spend: Vec<(u64, u64)>,
@@ -201,16 +209,21 @@ impl Engine {
     }
 
     /// One observability snapshot: sessions opened, batcher counters,
-    /// label-store totals, and the per-session oracle spend ledger.
+    /// label-store totals, strata-cache counters, and the per-session
+    /// oracle spend ledger.
     pub fn stats(&self) -> EngineStats {
         let (label_hits, label_misses) = self
             .label_store()
             .map_or((0, 0), |store| (store.hits(), store.misses()));
+        let strata = self.inner.catalog.strata_cache();
         EngineStats {
             sessions_opened: self.sessions_opened(),
             batcher: self.inner.batcher.stats(),
             label_hits,
             label_misses,
+            strata_builds: strata.builds(),
+            strata_hits: strata.hits(),
+            strata_cached_records: strata.cached_records(),
             per_session_spend: self.inner.batcher.per_session_spend(),
         }
     }

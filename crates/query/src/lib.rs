@@ -68,6 +68,10 @@
 //!   binding `?` placeholders (`ORACLE LIMIT ?`, `WITH PROBABILITY ?`,
 //!   `UNTIL CI WIDTH < ?`) through [`Prepared::with_budget`] /
 //!   [`Prepared::with_probability`] / [`Prepared::with_ci_width`].
+//! * Statements stratifying on a proxy column or a trained model share one
+//!   cached stratification per score vector ([`Catalog::strata_cache`]),
+//!   so a re-run does not re-sort the table; answers are bit-identical
+//!   either way.
 //!
 //! # Anytime queries
 //!
@@ -99,6 +103,7 @@ pub mod parser;
 mod plan;
 pub mod prepared;
 pub mod session;
+mod strata_cache;
 
 pub use ast::{
     AggFunc, AggItem, BoolExpr, CreateProxyStmt, Placeholders, ProxyFamily, Query, Statement,
@@ -114,3 +119,4 @@ pub use parser::{parse_query, parse_statement};
 pub use plan::ScoreSource;
 pub use prepared::{Prepared, ProgressiveRun};
 pub use session::Session;
+pub use strata_cache::StrataCache;

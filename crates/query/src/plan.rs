@@ -27,7 +27,11 @@ use abae_core::groupby::{
     GroupSnapshot,
 };
 use abae_core::multipred::{expression_oracle, PredExpr};
-use abae_core::two_stage::{ProgressiveOptions, Snapshot};
+use abae_core::two_stage::{
+    run_abae_multi_progressive_stratified, run_abae_multi_with_ci_stratified, MultiAggResult,
+    ProgressiveOptions, Snapshot,
+};
+use abae_core::Stratification;
 use abae_data::columnar::F64Column;
 use abae_data::{CachedOracle, Oracle, SingleGroupOracle, Table, TrainedProxy};
 use abae_stats::bootstrap::ConfidenceInterval;
@@ -396,7 +400,6 @@ fn run_plan_inner<R: Rng + ?Sized>(
 
     match &plan.kind {
         PlanKind::Scalar { expr, source, pred_key } => {
-            let scores = source.scores();
             // The per-query expression oracle, governed: every labeling
             // chunk is admitted to a (possibly cross-session-shared)
             // invocation before labeling. Layered *inside* the cached
@@ -419,88 +422,81 @@ fn run_plan_inner<R: Rng + ?Sized>(
                 exec: opts.exec,
                 ..Default::default()
             };
+            // Without an `UNTIL` target or an observer this is the blocking
+            // path, byte for byte the pre-anytime executor.
+            let progressive = (width.is_some() || observer.is_some())
+                .then_some(ProgressiveOptions { chunk: None, target_ci_width: width });
+            // Validate before stratifying, as core does: an invalid
+            // statement fails with the same error and sorts nothing.
+            config.validate().map_err(QueryError::Config)?;
+            if let Some(p) = &progressive {
+                p.validate().map_err(QueryError::Config)?;
+            }
+            let strata = catalog.strata_cache().strata(&query.table, source, config.strata);
             // One labeling pass answers every aggregate of the SELECT list.
             let aggs: Vec<Aggregate> = query.aggs.iter().map(|a| a.func.to_core()).collect();
-            if width.is_none() && observer.is_none() {
-                // Blocking path, byte for byte the pre-anytime executor.
-                let (multi, cache_hits, cache_misses) = match catalog.label_store() {
-                    // Cross-query reuse: route labeling through the store's
-                    // entry for this (table, predicate) pair — cached
-                    // verdicts are free.
-                    Some(store) => {
-                        let cached = CachedOracle::new(oracle, store, &query.table, pred_key);
-                        let multi = abae_core::two_stage::run_abae_multi_with_ci(
-                            scores, &cached, &config, &aggs, rng,
-                        )
-                        .map_err(QueryError::Config)?;
-                        (multi, cached.hits(), cached.misses())
-                    }
-                    None => (
-                        abae_core::two_stage::run_abae_multi_with_ci(
-                            scores, &oracle, &config, &aggs, rng,
-                        )
-                        .map_err(QueryError::Config)?,
-                        0,
-                        0,
-                    ),
-                };
-                if cache_hits > 0 {
-                    if let Some(batcher) = ctx.batcher {
-                        // Cache-served records never reached the batcher;
-                        // report them so EXPLAIN/stats show the slots the
-                        // warm store saved.
-                        batcher.note_cache_served(cache_hits);
-                    }
+            let mut emit = |snap: &Snapshot| {
+                if let Some(obs) = observer.as_deref_mut() {
+                    obs(&QuerySnapshot {
+                        rows: rows_from_answers(query, &snap.answers),
+                        groups: None,
+                        budget_spent: snap.budget_spent,
+                        done: snap.done,
+                    });
                 }
-                let rows = agg_rows(query, &multi);
-                Ok(QueryResult::new(rows, multi.oracle_calls, cache_hits, cache_misses, None))
-            } else {
-                let progressive =
-                    ProgressiveOptions { chunk: None, target_ci_width: width };
-                let mut emit = |snap: &Snapshot| {
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs(&QuerySnapshot {
-                            rows: rows_from_answers(query, &snap.answers),
-                            groups: None,
-                            budget_spent: snap.budget_spent,
-                            done: snap.done,
-                        });
-                    }
-                };
-                let (multi, cache_hits, cache_misses) = match catalog.label_store() {
-                    Some(store) => {
-                        let cached = CachedOracle::new(oracle, store, &query.table, pred_key);
-                        let multi = abae_core::two_stage::run_abae_multi_progressive(
-                            scores, &cached, &config, &aggs, &progressive, rng, &mut emit,
-                        )
-                        .map_err(QueryError::Config)?;
-                        (multi, cached.hits(), cached.misses())
-                    }
-                    None => (
-                        abae_core::two_stage::run_abae_multi_progressive(
-                            scores, &oracle, &config, &aggs, &progressive, rng, &mut emit,
-                        )
-                        .map_err(QueryError::Config)?,
-                        0,
-                        0,
-                    ),
-                };
-                if cache_hits > 0 {
-                    if let Some(batcher) = ctx.batcher {
-                        // Cache-served records never reached the batcher;
-                        // report them so EXPLAIN/stats show the slots the
-                        // warm store saved.
-                        batcher.note_cache_served(cache_hits);
-                    }
+            };
+            let (multi, cache_hits, cache_misses) = match catalog.label_store() {
+                // Cross-query reuse: route labeling through the store's
+                // entry for this (table, predicate) pair — cached verdicts
+                // are free.
+                Some(store) => {
+                    let cached = CachedOracle::new(oracle, store, &query.table, pred_key);
+                    let multi =
+                        run_scalar(&strata, &cached, &config, &aggs, progressive, rng, &mut emit)?;
+                    (multi, cached.hits(), cached.misses())
                 }
-                let rows = agg_rows(query, &multi);
-                Ok(QueryResult::new(rows, multi.oracle_calls, cache_hits, cache_misses, None))
+                None => (
+                    run_scalar(&strata, &oracle, &config, &aggs, progressive, rng, &mut emit)?,
+                    0,
+                    0,
+                ),
+            };
+            if cache_hits > 0 {
+                if let Some(batcher) = ctx.batcher {
+                    // Cache-served records never reached the batcher;
+                    // report them so EXPLAIN/stats show the slots the warm
+                    // store saved.
+                    batcher.note_cache_served(cache_hits);
+                }
             }
+            let rows = agg_rows(query, &multi);
+            Ok(QueryResult::new(rows, multi.oracle_calls, cache_hits, cache_misses, None))
         }
         PlanKind::GroupBy { groups } => run_groupby(
             plan, table, groups, budget, probability, width, opts, rng, ctx, observer,
         ),
     }
+}
+
+/// Runs a validated scalar statement over its stratification: the
+/// blocking executor, or the anytime one when `progressive` is set (then
+/// `emit` sees every snapshot).
+fn run_scalar<O: Oracle, R: Rng + ?Sized>(
+    strata: &Stratification,
+    oracle: &O,
+    config: &AbaeConfig,
+    aggs: &[Aggregate],
+    progressive: Option<ProgressiveOptions>,
+    rng: &mut R,
+    emit: &mut dyn FnMut(&Snapshot),
+) -> Result<MultiAggResult, QueryError> {
+    match progressive {
+        None => run_abae_multi_with_ci_stratified(strata, oracle, config, aggs, rng),
+        Some(p) => {
+            run_abae_multi_progressive_stratified(strata, oracle, config, aggs, &p, rng, emit)
+        }
+    }
+    .map_err(QueryError::Config)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -680,6 +676,36 @@ pub(crate) fn explain_plan(
                 .to_string(),
         ),
     }
+    // Whether execution sorts the table: resident score vectors share one
+    // cached stratification, the rest are stratified on every run.
+    lines.push(match &plan.kind {
+        PlanKind::Scalar { source: source @ ScoreSource::Combined { .. }, .. } => format!(
+            "strata : built on every run — {} strata over {} records (combined scores are \
+             materialized per statement)",
+            opts.strata,
+            source.scores().len(),
+        ),
+        PlanKind::Scalar { source, .. } => {
+            match catalog.strata_cache().peek(&query.table, source, opts.strata) {
+                Some(records) => format!(
+                    "strata : cached — {} strata over {records} records, shared by every \
+                     statement on this score source",
+                    opts.strata,
+                ),
+                None => format!(
+                    "strata : not cached yet — the first run sorts {} records into {} strata \
+                     and caches them",
+                    source.scores().len(),
+                    opts.strata,
+                ),
+            }
+        }
+        PlanKind::GroupBy { groups } => format!(
+            "strata : built on every run — {} strata per group over {} groups",
+            opts.strata,
+            groups.len(),
+        ),
+    });
     lines.push(match (catalog.label_store(), &plan.kind) {
         (Some(_), PlanKind::GroupBy { .. }) => {
             // GROUP BY labeling keeps its own within-query cache but does

@@ -397,8 +397,9 @@ fn run_statement(
     // SHOW STATS is a server affordance, not engine SQL: one
     // `(stat, value)` row per engine-wide counter — sessions opened, the
     // oracle batcher's lifetime totals (shared batches, coalesced
-    // requests, cache-served records), label-store hits/misses, and the
-    // per-session oracle-spend ledger. A pure read of shared counters: no
+    // requests, cache-served records), label-store hits/misses, the
+    // strata cache's builds/hits/records, and the per-session
+    // oracle-spend ledger. A pure read of shared counters: no
     // oracle calls, no RNG advance, so interleaving it between queries
     // cannot perturb any session's results.
     if keyword.eq_ignore_ascii_case("SHOW")
@@ -416,6 +417,9 @@ fn run_statement(
             ("batcher.cache_served".into(), b.cache_served),
             ("label_store.hits".into(), stats.label_hits),
             ("label_store.misses".into(), stats.label_misses),
+            ("strata_cache.builds".into(), stats.strata_builds),
+            ("strata_cache.hits".into(), stats.strata_hits),
+            ("strata_cache.records".into(), stats.strata_cached_records),
         ];
         for (id, spend) in stats.per_session_spend {
             rows.push((format!("session.{id}.oracle_spend"), spend));

@@ -226,8 +226,8 @@ fn wire_results_are_bit_identical_with_the_governor_on() {
     assert_eq!(rows_by_session(false), rows_by_session(true));
 }
 
-/// `SHOW STATS` surfaces the batcher counters and the per-session spend
-/// ledger over the wire.
+/// `SHOW STATS` surfaces the batcher counters, the per-session spend
+/// ledger and the strata cache's counters over the wire.
 #[test]
 fn show_stats_reports_the_governor_over_the_wire() {
     let server = Server::bind(engine(13, true, Duration::ZERO), "127.0.0.1:0")
@@ -236,7 +236,10 @@ fn show_stats_reports_the_governor_over_the_wire() {
         .expect("spawn server");
     let mut client = WireClient::connect(server.addr()).expect("connect");
     let out = client
-        .query("SELECT AVG(nb_links) FROM emails WHERE is_spam ORACLE LIMIT 300; SHOW STATS")
+        .query(
+            "SELECT AVG(nb_links) FROM emails WHERE is_spam ORACLE LIMIT 300 USING is_spam; \
+             SHOW STATS",
+        )
         .expect("query + stats");
     assert!(out.error.is_none(), "{:?}", out.error);
     let stat = |name: &str| -> u64 {
@@ -250,6 +253,8 @@ fn show_stats_reports_the_governor_over_the_wire() {
     assert_eq!(stat("sessions_opened"), 1);
     assert!(stat("batcher.requests") > 0, "labeling must route through admission");
     assert_eq!(stat("batcher.labeled_records"), stat("session.0.oracle_spend"));
+    let strata = ["builds", "hits", "records"].map(|s| stat(&format!("strata_cache.{s}")));
+    assert_eq!(strata, [1, 0, 20_000], "one stratification of the is_spam column");
     assert!(out.tags.iter().any(|t| t.starts_with("SHOW STATS")), "{:?}", out.tags);
     server.shutdown();
 }
