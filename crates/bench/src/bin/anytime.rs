@@ -124,9 +124,10 @@ fn main() {
             )
         })
         .collect();
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
         "{{\"bench\":\"anytime\",\"dataset\":\"trec05p\",\"records\":{records},\
-         \"budget\":{budget},\"chunk\":{chunk},\"seed\":{},\
+         \"budget\":{budget},\"chunk\":{chunk},\"seed\":{},\"nproc\":{nproc},\
          \"curve\":[{}],\
          \"early_stop\":{{\"target_ci_width\":{},\"budget_spent\":{},\
          \"full_budget_spent\":{full_spent},\"savings_pct\":{},\

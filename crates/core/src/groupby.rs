@@ -31,6 +31,7 @@ use abae_optim::simplex::{minimize_on_simplex, SimplexOptions};
 use abae_sampling::budget::{chunk_sizes, floor_allocation};
 use abae_sampling::pool::IndexPool;
 use abae_sampling::wor::sample_without_replacement;
+use abae_stats::StreamingMoments;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -140,23 +141,85 @@ struct CellStats {
     sigma_hat: f64,
 }
 
-fn cell_stats(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
-    let mut moments = abae_stats::StreamingMoments::new();
-    let mut positives = 0usize;
-    for id in ids {
-        let label = cache.get(id).expect("every sampled id is labeled");
-        if label.group == Some(g) {
-            positives += 1;
-            moments.push(label.value);
+impl CellStats {
+    /// A cell of `draws` draws whose positive values `moments` folded.
+    fn from_moments(draws: usize, moments: &StreamingMoments) -> Self {
+        let positives = moments.count() as usize;
+        CellStats {
+            draws,
+            positives,
+            p_hat: if draws == 0 { 0.0 } else { positives as f64 / draws as f64 },
+            mu_hat: moments.mean_or_zero(),
+            sigma_hat: moments.sample_std_dev_or_zero(),
         }
     }
-    CellStats {
-        draws: ids.len(),
-        positives,
-        p_hat: if ids.is_empty() { 0.0 } else { positives as f64 / ids.len() as f64 },
-        mu_hat: moments.mean_or_zero(),
-        sigma_hat: moments.sample_std_dev_or_zero(),
+}
+
+/// The cells of every (stratification, stratum, group) triple, stored so
+/// that one (stratification, group) row of `K` cells is contiguous: cell
+/// `(l, kk, gg)` sits at `(l·G + gg)·K + kk`.
+struct CellGrid {
+    groups: usize,
+    strata: usize,
+    cells: Vec<CellStats>,
+    /// One accumulator per group, reused by every bucket.
+    moments: Vec<StreamingMoments>,
+}
+
+impl CellGrid {
+    fn new(groups: usize, strata: usize) -> Self {
+        let empty = CellStats::from_moments(0, &StreamingMoments::new());
+        CellGrid {
+            groups,
+            strata,
+            cells: vec![empty; groups * groups * strata],
+            moments: vec![StreamingMoments::new(); groups],
+        }
     }
+
+    /// The `K` cells of group `gg` under stratification `l`.
+    fn row(&self, l: usize, gg: usize) -> &[CellStats] {
+        let start = (l * self.groups + gg) * self.strata;
+        &self.cells[start..start + self.strata]
+    }
+
+    /// Fills bucket `(l, kk)`'s cells for every group in one pass over its
+    /// labels: each label of group `gg < G` feeds cell `gg` in draw order;
+    /// any other label is a draw that no group counts as positive.
+    fn fill_bucket(&mut self, l: usize, kk: usize, labels: impl Iterator<Item = GroupLabel>) {
+        self.moments.fill(StreamingMoments::new());
+        let mut draws = 0;
+        for label in labels {
+            draws += 1;
+            if let Some(m) = label.group.and_then(|gg| self.moments.get_mut(usize::from(gg))) {
+                m.push(label.value);
+            }
+        }
+        for (gg, m) in self.moments.iter().enumerate() {
+            self.cells[(l * self.groups + gg) * self.strata + kk] =
+                CellStats::from_moments(draws, m);
+        }
+    }
+}
+
+/// The cells of sampled buckets, each label looked up once.
+fn bucket_cells(
+    buckets: &[Vec<Vec<usize>>],
+    cache: &BTreeMap<usize, GroupLabel>,
+    strata: usize,
+) -> CellGrid {
+    let mut grid = CellGrid::new(buckets.len(), strata);
+    for (l, stratification) in buckets.iter().enumerate() {
+        for (kk, ids) in stratification.iter().enumerate() {
+            grid.fill_bucket(l, kk, ids.iter().map(|id| cached_label(cache, id)));
+        }
+    }
+    grid
+}
+
+/// A sampled id's cached label.
+fn cached_label(cache: &BTreeMap<usize, GroupLabel>, id: &usize) -> GroupLabel {
+    *cache.get(id).expect("every sampled id is labeled")
 }
 
 /// Eq. 10/11 inner term: the per-unit-budget error of estimating group `g`
@@ -299,28 +362,45 @@ pub fn groupby_single_oracle_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 /// run state. Pure in the run state; all randomness comes from `rng`, so
 /// the blocking entry point can pass the caller's stream while progressive
 /// snapshots pass a forked one.
+///
+/// Each bucket's labels are looked up once per call, not once per
+/// replicate, draw and group. A replicate resamples every bucket's labels —
+/// stratifications in order, strata in order, one `gen_range(0..n)` per
+/// draw — straight into the bucket's cells, every group in one pass, and
+/// takes the same [`estimates_from_cells`] step as the point estimate, so
+/// it equals [`single_oracle_estimates`] over the resampled ids.
 fn single_oracle_bootstrap_cis<R: Rng + ?Sized>(
     run: &SingleOracleRun,
     bootstrap: &BootstrapConfig,
     rng: &mut R,
 ) -> Vec<GroupEstimateWithCi> {
-    let points = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
-    let g = points.len();
-    let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(bootstrap.trials); g];
-    let mut resampled = run.buckets.clone();
+    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(Stratification::sizes).collect();
+    let labels: Vec<Vec<Vec<GroupLabel>>> = run
+        .buckets
+        .iter()
+        .map(|buckets| {
+            buckets
+                .iter()
+                .map(|ids| ids.iter().map(|id| cached_label(&run.cache, id)).collect())
+                .collect()
+        })
+        .collect();
+    let mut grid = CellGrid::new(labels.len(), run.buckets.first().map(Vec::len).unwrap_or(0));
+    for (l, buckets) in labels.iter().enumerate() {
+        for (kk, bucket) in buckets.iter().enumerate() {
+            grid.fill_bucket(l, kk, bucket.iter().copied());
+        }
+    }
+    let points = estimates_from_cells(&grid, &sizes);
+    let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(bootstrap.trials); points.len()];
     for _ in 0..bootstrap.trials {
-        for (res_strat, buckets) in resampled.iter_mut().zip(&run.buckets) {
-            for (res_bucket, ids) in res_strat.iter_mut().zip(buckets) {
-                res_bucket.clear();
-                if !ids.is_empty() {
-                    for _ in 0..ids.len() {
-                        res_bucket.push(ids[rng.gen_range(0..ids.len())]);
-                    }
-                }
+        for (l, buckets) in labels.iter().enumerate() {
+            for (kk, bucket) in buckets.iter().enumerate() {
+                let n = bucket.len();
+                grid.fill_bucket(l, kk, (0..n).map(|_| bucket[rng.gen_range(0..n)]));
             }
         }
-        let est = single_oracle_estimates(&resampled, &run.cache, &run.stratifications);
-        for (reps, e) in replicates.iter_mut().zip(est) {
+        for (reps, e) in replicates.iter_mut().zip(estimates_from_cells(&grid, &sizes)) {
             reps.push(e);
         }
     }
@@ -536,22 +616,19 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 
     if !stopped {
         // Pilot estimates and allocations.
+        let grid = bucket_cells(&run.buckets, &run.cache, k);
         let mut t_hats: Vec<Vec<f64>> = Vec::with_capacity(g);
         let mut err_unit: Vec<Vec<f64>> = vec![vec![f64::INFINITY; g]; g];
         for (l, err_row) in err_unit.iter_mut().enumerate() {
             let sizes = run.stratifications[l].sizes();
             // Allocation optimized for stratification l's own group.
-            let own: Vec<CellStats> =
-                (0..k).map(|kk| cell_stats(&run.buckets[l][kk], &run.cache, l as u16)).collect();
+            let own = grid.row(l, l);
             let t = optimal_allocation(
                 &own.iter().map(|c| c.p_hat).collect::<Vec<_>>(),
                 &own.iter().map(|c| c.sigma_hat).collect::<Vec<_>>(),
             );
             for (gg, slot) in err_row.iter_mut().enumerate() {
-                let cells: Vec<CellStats> = (0..k)
-                    .map(|kk| cell_stats(&run.buckets[l][kk], &run.cache, gg as u16))
-                    .collect();
-                *slot = per_unit_error(&cells, &sizes, &t);
+                *slot = per_unit_error(grid.row(l, gg), &sizes, &t);
             }
             t_hats.push(t);
         }
@@ -609,48 +686,50 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 
 /// Final single-oracle estimates: per group, inverse-variance weighting
 /// across stratifications (§4.5 "Single Oracle"). Pure function of the
-/// sampled buckets and cached labels, so the bootstrap can re-evaluate it
-/// on resampled buckets.
+/// sampled buckets and cached labels.
 fn single_oracle_estimates(
     buckets: &[Vec<Vec<usize>>],
     cache: &BTreeMap<usize, GroupLabel>,
     stratifications: &[Stratification],
 ) -> Vec<f64> {
-    let g = stratifications.len();
-    let k = buckets.first().map(Vec::len).unwrap_or(0);
+    let sizes: Vec<Vec<usize>> = stratifications.iter().map(Stratification::sizes).collect();
+    let strata = buckets.first().map(Vec::len).unwrap_or(0);
+    estimates_from_cells(&bucket_cells(buckets, cache, strata), &sizes)
+}
+
+/// The cells → estimates step shared by the point estimate and every
+/// bootstrap replicate. `sizes[l]` are stratification `l`'s stratum sizes.
+fn estimates_from_cells(grid: &CellGrid, sizes: &[Vec<usize>]) -> Vec<f64> {
+    let g = grid.groups;
+    let mut strata_est: Vec<StratumEstimate> = Vec::with_capacity(grid.strata);
     let mut out = Vec::with_capacity(g);
     for gg in 0..g {
         let mut weighted = 0.0;
         let mut weight_total = 0.0;
         let mut fallback_sum = 0.0;
         let mut fallback_n = 0usize;
-        for l in 0..g {
-            let sizes = stratifications[l].sizes();
-            let cells: Vec<CellStats> =
-                (0..k).map(|kk| cell_stats(&buckets[l][kk], cache, gg as u16)).collect();
+        for (l, sizes) in sizes.iter().enumerate() {
+            let cells = grid.row(l, gg);
             // Point estimate from stratification l.
-            let strata_est: Vec<StratumEstimate> = cells
-                .iter()
-                .zip(&sizes)
-                .map(|(c, &s)| StratumEstimate {
-                    size: s,
-                    draws: c.draws,
-                    positives: c.positives,
-                    p_hat: c.p_hat,
-                    mu_hat: c.mu_hat,
-                    sigma_hat: c.sigma_hat,
-                })
-                .collect();
+            strata_est.clear();
+            strata_est.extend(cells.iter().zip(sizes).map(|(c, &s)| StratumEstimate {
+                size: s,
+                draws: c.draws,
+                positives: c.positives,
+                p_hat: c.p_hat,
+                mu_hat: c.mu_hat,
+                sigma_hat: c.sigma_hat,
+            }));
             let est = combine_estimate(crate::config::Aggregate::Avg, &strata_est);
             // Variance estimate: Σ_k ŵ²σ̂²/B_k over positive draws.
             let w_total: f64 =
-                cells.iter().zip(&sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+                cells.iter().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
             if w_total <= 0.0 {
                 continue;
             }
             let mut var = 0.0;
             let mut usable = true;
-            for (c, &s) in cells.iter().zip(&sizes) {
+            for (c, &s) in cells.iter().zip(sizes) {
                 let w = s as f64 * c.p_hat / w_total;
                 if w == 0.0 {
                     continue;
@@ -1334,5 +1413,252 @@ mod ci_tests {
             assert_eq!(a.group, b.group);
             assert_eq!(a.estimate, b.estimate);
         }
+    }
+
+    /// Group `g`'s cell of one bucket, one cache lookup per id: the
+    /// per-group pass the one-pass cells replaced, kept as their reference.
+    fn reference_cell(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
+        let mut moments = StreamingMoments::new();
+        let mut positives = 0usize;
+        for id in ids {
+            let label = cache.get(id).expect("every sampled id is labeled");
+            if label.group == Some(g) {
+                positives += 1;
+                moments.push(label.value);
+            }
+        }
+        CellStats {
+            draws: ids.len(),
+            positives,
+            p_hat: if ids.is_empty() { 0.0 } else { positives as f64 / ids.len() as f64 },
+            mu_hat: moments.mean_or_zero(),
+            sigma_hat: moments.sample_std_dev_or_zero(),
+        }
+    }
+
+    /// `single_oracle_estimates` as it was before the cells → estimates
+    /// split: per group and stratification, fresh sizes and per-group
+    /// lookups.
+    fn reference_estimates(
+        buckets: &[Vec<Vec<usize>>],
+        cache: &BTreeMap<usize, GroupLabel>,
+        stratifications: &[Stratification],
+    ) -> Vec<f64> {
+        let g = stratifications.len();
+        let k = buckets.first().map(Vec::len).unwrap_or(0);
+        let mut out = Vec::with_capacity(g);
+        for gg in 0..g {
+            let mut weighted = 0.0;
+            let mut weight_total = 0.0;
+            let mut fallback_sum = 0.0;
+            let mut fallback_n = 0usize;
+            for l in 0..g {
+                let sizes = stratifications[l].sizes();
+                let cells: Vec<CellStats> =
+                    (0..k).map(|kk| reference_cell(&buckets[l][kk], cache, gg as u16)).collect();
+                let strata_est: Vec<StratumEstimate> = cells
+                    .iter()
+                    .zip(&sizes)
+                    .map(|(c, &s)| StratumEstimate {
+                        size: s,
+                        draws: c.draws,
+                        positives: c.positives,
+                        p_hat: c.p_hat,
+                        mu_hat: c.mu_hat,
+                        sigma_hat: c.sigma_hat,
+                    })
+                    .collect();
+                let est = combine_estimate(crate::config::Aggregate::Avg, &strata_est);
+                let w_total: f64 =
+                    cells.iter().zip(&sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+                if w_total <= 0.0 {
+                    continue;
+                }
+                let mut var = 0.0;
+                let mut usable = true;
+                for (c, &s) in cells.iter().zip(&sizes) {
+                    let w = s as f64 * c.p_hat / w_total;
+                    if w == 0.0 {
+                        continue;
+                    }
+                    if c.positives == 0 {
+                        usable = false;
+                        break;
+                    }
+                    var += w * w * c.sigma_hat * c.sigma_hat / c.positives as f64;
+                }
+                if !usable {
+                    continue;
+                }
+                fallback_sum += est;
+                fallback_n += 1;
+                let w = 1.0 / var.max(1e-12);
+                weighted += w * est;
+                weight_total += w;
+            }
+            out.push(if weight_total > 0.0 {
+                weighted / weight_total
+            } else if fallback_n > 0 {
+                fallback_sum / fallback_n as f64
+            } else {
+                0.0
+            });
+        }
+        out
+    }
+
+    /// The replicate loop the one-pass kernel replaced: resample every
+    /// bucket's ids, then re-estimate from the resampled ids.
+    fn reference_bootstrap_cis<R: Rng + ?Sized>(
+        run: &SingleOracleRun,
+        bootstrap: &BootstrapConfig,
+        rng: &mut R,
+    ) -> Vec<GroupEstimateWithCi> {
+        let points = reference_estimates(&run.buckets, &run.cache, &run.stratifications);
+        let mut replicates: Vec<Vec<f64>> =
+            vec![Vec::with_capacity(bootstrap.trials); points.len()];
+        let mut resampled = run.buckets.clone();
+        for _ in 0..bootstrap.trials {
+            for (res_strat, buckets) in resampled.iter_mut().zip(&run.buckets) {
+                for (res_bucket, ids) in res_strat.iter_mut().zip(buckets) {
+                    res_bucket.clear();
+                    if !ids.is_empty() {
+                        for _ in 0..ids.len() {
+                            res_bucket.push(ids[rng.gen_range(0..ids.len())]);
+                        }
+                    }
+                }
+            }
+            let est = reference_estimates(&resampled, &run.cache, &run.stratifications);
+            for (reps, e) in replicates.iter_mut().zip(est) {
+                reps.push(e);
+            }
+        }
+        points
+            .into_iter()
+            .zip(replicates)
+            .enumerate()
+            .map(|(gg, (estimate, mut reps))| GroupEstimateWithCi {
+                group: gg as u16,
+                estimate,
+                ci: abae_stats::bootstrap::percentile_ci(&mut reps, bootstrap.alpha),
+            })
+            .collect()
+    }
+
+    /// A random sampled run state: `groups` stratifications of `strata`
+    /// strata over `n` records, buckets of 0–30 member ids (ids recur
+    /// across stratifications), and labels that are `None`, a group below
+    /// `G`, or a group id at or above `G`, with ±0, ±1e150 (large, yet
+    /// squares stay finite, so replicates stay NaN-free) or small values.
+    fn random_run(gen: &mut StdRng, groups: usize, strata: usize) -> SingleOracleRun {
+        use rand::Rng as _;
+        let n = gen.gen_range(strata..200);
+        let stratifications: Vec<Stratification> = (0..groups)
+            .map(|_| {
+                let scores: Vec<f64> = (0..n).map(|_| gen.gen()).collect();
+                Stratification::by_proxy_quantile(&scores, strata)
+            })
+            .collect();
+        let buckets: Vec<Vec<Vec<usize>>> = stratifications
+            .iter()
+            .map(|s| {
+                (0..strata)
+                    .map(|kk| {
+                        let members = s.stratum(kk);
+                        let len = match gen.gen_range(0..4) {
+                            0 => 0,
+                            1 => 1,
+                            _ => gen.gen_range(2..30),
+                        };
+                        if members.is_empty() {
+                            return Vec::new();
+                        }
+                        (0..len).map(|_| members[gen.gen_range(0..members.len())]).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut cache = BTreeMap::new();
+        for &id in buckets.iter().flatten().flatten() {
+            let group = match gen.gen_range(0..6) {
+                0 => None,
+                1 => Some(groups as u16 + gen.gen_range(0..3)),
+                _ => Some(gen.gen_range(0..groups as u16)),
+            };
+            let value = match gen.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e150 * if gen.gen() { 1.0 } else { -1.0 },
+                _ => gen.gen_range(-50.0..50.0),
+            };
+            cache.entry(id).or_insert(GroupLabel { group, value });
+        }
+        SingleOracleRun { buckets, cache, stratifications }
+    }
+
+    fn group_bits(rows: &[GroupEstimateWithCi]) -> Vec<(u16, u64, Option<[u64; 3]>)> {
+        rows.iter()
+            .map(|r| {
+                let ci = r.ci.map(|c| [c.lo.to_bits(), c.hi.to_bits(), c.confidence.to_bits()]);
+                (r.group, r.estimate.to_bits(), ci)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn one_pass_estimates_match_per_group_lookups(
+            seed in 0u64..u64::MAX,
+            groups in 1usize..5,
+            strata in 1usize..6,
+        ) {
+            let run = random_run(&mut StdRng::seed_from_u64(seed), groups, strata);
+            let got = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
+            let want = reference_estimates(&run.buckets, &run.cache, &run.stratifications);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn bootstrap_matches_resampling_ids_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            groups in 1usize..5,
+            strata in 1usize..6,
+            trials_pick in 0usize..5,
+        ) {
+            use rand::RngCore as _;
+            let run = random_run(&mut StdRng::seed_from_u64(seed), groups, strata);
+            let trials = [1, 7, 8, 9, 1000][trials_pick];
+            let bootstrap = BootstrapConfig { trials, alpha: 0.05 };
+            let mut ours = StdRng::seed_from_u64(seed ^ 1);
+            let mut theirs = ours.clone();
+            let got = single_oracle_bootstrap_cis(&run, &bootstrap, &mut ours);
+            let want = reference_bootstrap_cis(&run, &bootstrap, &mut theirs);
+            proptest::prop_assert_eq!(group_bits(&got), group_bits(&want));
+            proptest::prop_assert_eq!(ours.next_u64(), theirs.next_u64());
+        }
+    }
+
+    #[test]
+    fn sampled_run_bootstrap_matches_resampling_ids() {
+        // A real sampled run (pilot plus Stage 2, ids shared across
+        // stratifications) rather than a synthetic state.
+        let t = two_group_table(20_000, 9);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 3000, ..Default::default() };
+        let run = single_oracle_sample(&proxies, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
+            .unwrap();
+        let bootstrap = BootstrapConfig { trials: 64, alpha: 0.05 };
+        let mut ours = StdRng::seed_from_u64(10);
+        let mut theirs = ours.clone();
+        let got = single_oracle_bootstrap_cis(&run, &bootstrap, &mut ours);
+        let want = reference_bootstrap_cis(&run, &bootstrap, &mut theirs);
+        assert_eq!(group_bits(&got), group_bits(&want));
+        use rand::RngCore as _;
+        assert_eq!(ours.next_u64(), theirs.next_u64());
     }
 }

@@ -475,8 +475,9 @@ pub(crate) fn snapshot_rng(budget_spent: u64) -> StdRng {
 }
 
 /// Builds one intermediate snapshot from the merged per-stratum states:
-/// estimates via [`StratumStats::estimate`] + [`combine_estimate`], CIs by
-/// bootstrapping the canonical-order draws with the forked snapshot RNG.
+/// each stratum's canonical-order draws are built once and feed both its
+/// estimate (what [`StratumStats::estimate`] derives) and, with the forked
+/// snapshot RNG, the bootstrap CIs.
 fn snapshot_from_stats(
     stats: &[StratumStats],
     sizes: &[usize],
@@ -484,8 +485,12 @@ fn snapshot_from_stats(
     config: &AbaeConfig,
     budget_spent: u64,
 ) -> Snapshot {
-    let estimates: Vec<StratumEstimate> = stats.iter().map(StratumStats::estimate).collect();
     let samples: Vec<Vec<Labeled>> = stats.iter().map(StratumStats::labeled).collect();
+    let estimates: Vec<StratumEstimate> = stats
+        .iter()
+        .zip(&samples)
+        .map(|(s, draws)| StratumEstimate::from_draws(s.size(), draws))
+        .collect();
     let mut fork = snapshot_rng(budget_spent);
     let cis = stratified_bootstrap_cis(&samples, sizes, aggs, &config.bootstrap, &mut fork);
     let answers = aggs

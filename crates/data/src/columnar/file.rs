@@ -41,6 +41,7 @@ use super::column::{Column, F64Column, I64Column, StrColumn};
 use super::dict::DictColumn;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic: identifies an ABae columnar file.
 pub const MAGIC: [u8; 8] = *b"ABAECOL\0";
@@ -259,17 +260,30 @@ pub fn encode_columns(columns: &[NamedColumn]) -> Vec<u8> {
     buf
 }
 
-/// Writes columns to `path` atomically (tmp file + rename).
+/// Numbers this process's temp files, so concurrent writers never share one.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes columns to `path` atomically: the bytes go to a temp file beside
+/// `path`, named by the process id and a process-wide counter, which is then
+/// renamed over `path`. Concurrent writers to one path each rename a
+/// complete file, so a reader sees one of them whole. A failed write removes
+/// its temp file.
 pub fn write_columns(path: &Path, columns: &[NamedColumn]) -> Result<(), BinError> {
     let bytes = encode_columns(columns);
-    let tmp = path.with_extension("abcol.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("abcol.{}.{seq}.tmp", std::process::id()));
+    let written = write_and_rename(&tmp, path, &bytes);
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(written?)
+}
+
+fn write_and_rename(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = std::fs::File::create(tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(tmp, path)
 }
 
 /// Bounds-checked little-endian cursor over the loaded file.
@@ -537,6 +551,37 @@ mod tests {
         let back = read_columns(&path).unwrap();
         assert_eq!(back, cols);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_never_collide() {
+        let dir = std::env::temp_dir().join(format!("abae_colfile_race_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.abcol");
+        let table = |writer: usize, i: usize| {
+            vec![NamedColumn {
+                name: "statistic".into(),
+                role: ColumnRole::Statistic,
+                column: Column::F64(F64Column::from(vec![writer as f64, i as f64])),
+            }]
+        };
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for writer in 0..4 {
+                let (path, table, start) = (&path, &table, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..20 {
+                        write_columns(path, &table(writer, i)).expect("every write succeeds");
+                    }
+                });
+            }
+        });
+        let back = read_columns(&path).unwrap();
+        assert!((0..4).any(|w| (0..20).any(|i| back == table(w, i))), "{back:?}");
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(files, vec![std::ffi::OsString::from("t.abcol")], "no temp file is left");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -79,9 +79,12 @@ fn rich_table(n: usize, seed: u64) -> Table {
 fn variants(t: &Table) -> Vec<(&'static str, Table)> {
     let schema = t.schema();
     let rows = Table::from_rows(t.name(), &schema, t.rows()).expect("row roundtrip");
+    // Tests run on parallel threads: each call gets a file of its own.
+    static NEXT_FILE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("abae-columnar-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("{}.abcol", t.name()));
+    let file = NEXT_FILE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!("{}-{file}.abcol", t.name()));
     t.save_binary(&path).expect("save");
     let binary = Table::load_binary(t.name(), &path).expect("load");
     let _ = std::fs::remove_file(&path);
