@@ -6,7 +6,11 @@
 //! `LabelStore` enabled, each round of queries reuses the verdicts bought
 //! by earlier rounds, so the marginal cost of a repeated dashboard decays
 //! toward zero. This binary measures that decay: per round, the oracle
-//! calls actually spent, the cache hits, and the cumulative hit rate.
+//! calls actually spent, the cache hits, the cumulative hit rate, and the
+//! device invocations the misses took (the engine batcher's counter).
+//! Store hits are answered once per labeling request and only the misses
+//! are cut into batches, so invocations fall with the miss count instead
+//! of staying at one per chunk of draws.
 //!
 //! Each round runs in a fresh session (its own deterministic RNG stream
 //! derived from the engine seed), so the sampled records differ between
@@ -42,8 +46,8 @@ fn main() {
     println!("dataset    : trec05p emulator, {records} records");
     println!("dashboard  : {} statements/round, {rounds} rounds\n", dashboard.len());
     println!(
-        "{:>5} {:>12} {:>12} {:>12} {:>15} {:>15}",
-        "round", "oracle", "hits", "misses", "round hit%", "cumulative hit%"
+        "{:>5} {:>12} {:>12} {:>12} {:>12} {:>15} {:>15}",
+        "round", "oracle", "hits", "misses", "invocations", "round hit%", "cumulative hit%"
     );
 
     let store = engine.label_store().expect("cache enabled above");
@@ -52,6 +56,7 @@ fn main() {
         // A fresh session per round = a fresh deterministic RNG stream,
         // so the sampled records differ between rounds.
         let mut session = engine.session();
+        let invocations_before = engine.stats().batcher.invocations;
         let (mut calls, mut hits, mut misses) = (0u64, 0u64, 0u64);
         for sql in &dashboard {
             let r = session.execute(sql).expect("dashboard query executes");
@@ -59,30 +64,36 @@ fn main() {
             hits += r.cache_hits;
             misses += r.cache_misses;
         }
+        let invocations = engine.stats().batcher.invocations - invocations_before;
         let lifetime = store.hits() + store.misses();
         let round_pct = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
         let cumulative_pct = 100.0 * store.hits() as f64 / lifetime.max(1) as f64;
         println!(
-            "{:>5} {:>12} {:>12} {:>12} {:>14.1}% {:>14.1}%",
+            "{:>5} {:>12} {:>12} {:>12} {:>12} {:>14.1}% {:>14.1}%",
             round + 1,
             calls,
             hits,
             misses,
+            invocations,
             round_pct,
             cumulative_pct,
         );
         points.push(format!(
             "{{\"round\":{},\"oracle_calls\":{calls},\"hits\":{hits},\"misses\":{misses},\
-             \"round_hit_pct\":{round_pct:.2},\"cumulative_hit_pct\":{cumulative_pct:.2}}}",
+             \"invocations\":{invocations},\"round_hit_pct\":{round_pct:.2},\
+             \"cumulative_hit_pct\":{cumulative_pct:.2}}}",
             round + 1,
         ));
     }
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     emit_artifact(
         "cache_hits",
         &format!(
             "{{\"bench\":\"cache_hits\",\"records\":{records},\"rounds\":{rounds},\
-             \"seed\":{},\"verdicts_cached\":{},\"points\":[{}]}}",
+             \"seed\":{},\"nproc\":{nproc},\"batch_size\":{},\"verdicts_cached\":{},\
+             \"points\":[{}]}}",
             cfg.seed,
+            engine.options().exec.batch_size,
             store.misses(),
             points.join(",")
         ),
@@ -96,5 +107,5 @@ fn main() {
     println!("expected shape : round 1 hits come only from intra-round reuse (the second");
     println!("                 statement re-draws records the first already labeled); later");
     println!("                 rounds climb as the store covers the proxy-favored strata,");
-    println!("                 and oracle spend per round decays.");
+    println!("                 and oracle spend and device invocations per round decay.");
 }

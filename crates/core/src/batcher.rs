@@ -7,7 +7,7 @@
 //! own batch; N concurrent sessions each invoking the oracle independently
 //! pay N× the dispatch cost that one shared batch would. This module is
 //! the engine-level fix: a process-wide [`OracleBatcher`] that concurrent
-//! sessions' labeling chunks must be **admitted** through, coalescing
+//! sessions' label batches must be **admitted** through, coalescing
 //! requests that target the same `(table, predicate)` — i.e. the same
 //! model — into shared invocations.
 //!
@@ -152,8 +152,10 @@ struct State {
 /// `EXPLAIN`, and the bench artifacts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatcherStats {
-    /// Label requests admitted (one per labeling chunk that reached the
-    /// oracle; cache-served chunks never get here).
+    /// Label requests admitted: one per batch of label-store misses that
+    /// reached the oracle. Store hits are answered once per labeling
+    /// request, before its misses are cut into batches, so they never get
+    /// here.
     pub requests: u64,
     /// Oracle invocations dispatched (each charged one overhead).
     pub invocations: u64,
@@ -386,6 +388,8 @@ fn fair_take(
 /// all stay attributed to the requesting session exactly as without the
 /// batcher. With `batcher: None` the adapter is a transparent
 /// passthrough, which is what keeps the engine's plumbing one code path.
+/// [`Oracle::stored_labels`] is forwarded unadmitted, so a label store
+/// beneath the adapter still packs its misses into full batches.
 pub struct GovernedOracle<'a, O> {
     inner: O,
     batcher: Option<&'a OracleBatcher>,
@@ -417,6 +421,11 @@ impl<O: Oracle> Oracle for GovernedOracle<'_, O> {
             batcher.admit(&self.key, self.session, indices.len());
         }
         self.inner.label_batch(indices)
+    }
+
+    fn stored_labels(&self, indices: &[usize]) -> Vec<(usize, Labeled)> {
+        // Held labels charge nothing, so they are never admitted.
+        self.inner.stored_labels(indices)
     }
 
     fn calls(&self) -> u64 {

@@ -300,6 +300,15 @@ fn label_uncached<O: GroupOracle + ?Sized>(
     }
 }
 
+/// Stage-1 size of a single-oracle group-by run over `records` records:
+/// one uniform pilot of ⌊C·budget⌋ draws, capped at the table size and
+/// shared by every group's stratification. The rest of the budget goes to
+/// the minimax allocation. Execution and `EXPLAIN` both call this, so the
+/// printed split is the one that runs.
+pub fn single_oracle_pilot(budget: usize, stage1_fraction: f64, records: usize) -> usize {
+    ((stage1_fraction * budget as f64).floor() as usize).min(records)
+}
+
 /// The sampled state of one single-oracle group-by run: everything the
 /// final estimator (and its bootstrap) needs, with no further oracle cost.
 struct SingleOracleRun {
@@ -595,7 +604,7 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 
     // Stage 1: one uniform pilot shared by every stratification, labeled
     // and bucketed per chunk.
-    let n1_total = ((cfg.stage1_fraction * cfg.budget as f64).floor() as usize).min(n);
+    let n1_total = single_oracle_pilot(cfg.budget, cfg.stage1_fraction, n);
     let pilot = sample_without_replacement(n, n1_total, rng);
     let pilot_chunks = chunk_sizes(pilot.len(), chunk);
     let mut offset = 0;

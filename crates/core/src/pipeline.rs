@@ -31,7 +31,12 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Records per oracle batch (clamped to at least 1). This is the batch
     /// size handed to [`Oracle::label_batch`] — the analogue of a DNN
-    /// serving batch.
+    /// serving batch. [`label_all`] answers the records the oracle already
+    /// holds ([`Oracle::stored_labels`]) first and cuts only the misses
+    /// into batches of this size, so with a warm label store a batch
+    /// carries up to `batch_size` misses however many hits lie between
+    /// them. Progressive runs also snapshot every `batch_size` draws by
+    /// default, hits included.
     pub batch_size: usize,
 }
 
@@ -147,12 +152,38 @@ where
 
 /// Labels `ids` with `oracle` through the batch pipeline; the returned
 /// labels are in `ids` order.
+///
+/// The labels the oracle already holds ([`Oracle::stored_labels`]: a warm
+/// label store's hits) are answered once for the whole request, and only
+/// the misses are cut into batches of `opts.batch_size`, in input order.
+/// A warm store therefore sends full device batches instead of one thin
+/// batch per `batch_size` draws. An oracle that holds nothing takes the
+/// same path with zero hits.
 pub fn label_all<O: Oracle + ?Sized>(
     oracle: &O,
     ids: &[usize],
     opts: &ExecOptions,
 ) -> Vec<Labeled> {
-    map_batched(ids, opts, |chunk| oracle.label_batch(chunk))
+    let stored = oracle.stored_labels(ids);
+    let mut hit_positions = stored.iter().map(|&(pos, _)| pos).peekable();
+    let misses: Vec<usize> = ids
+        .iter()
+        .enumerate()
+        .filter(|&(pos, _)| hit_positions.next_if_eq(&pos).is_none())
+        .map(|(_, &id)| id)
+        .collect();
+    assert!(
+        hit_positions.next().is_none(),
+        "stored_labels must return in-range positions in ascending order"
+    );
+    let mut labeled = map_batched(&misses, opts, |chunk| oracle.label_batch(chunk)).into_iter();
+    let mut stored = stored.into_iter().peekable();
+    (0..ids.len())
+        .map(|pos| match stored.next_if(|&(p, _)| p == pos) {
+            Some((_, label)) => label,
+            None => labeled.next().expect("map_batched returns one label per miss"),
+        })
+        .collect()
 }
 
 /// Labels `ids` with a [`GroupOracle`] through the batch pipeline; the
@@ -228,6 +259,117 @@ mod tests {
         let base = ExecOptions::new(2, 128);
         assert_eq!(base.with_threads(8), ExecOptions::new(8, 128));
         assert_eq!(base.with_batch_size(32), ExecOptions::new(2, 32));
+    }
+
+    /// Records every batch handed to the wrapped oracle.
+    struct Recording<O> {
+        inner: O,
+        batches: Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl<O: Oracle> Oracle for Recording<O> {
+        fn label_batch(&self, indices: &[usize]) -> Vec<Labeled> {
+            self.batches.lock().unwrap().push(indices.to_vec());
+            self.inner.label_batch(indices)
+        }
+
+        fn calls(&self) -> u64 {
+            self.inner.calls()
+        }
+
+        fn reset_calls(&self) {
+            self.inner.reset_calls()
+        }
+    }
+
+    /// Hides `stored_labels`, which restores the per-chunk path: every
+    /// chunk of draws reaches the wrapped oracle's `label_batch`.
+    struct PerChunk<O>(O);
+
+    impl<O: Oracle> Oracle for PerChunk<O> {
+        fn label_batch(&self, indices: &[usize]) -> Vec<Labeled> {
+            self.0.label_batch(indices)
+        }
+
+        fn calls(&self) -> u64 {
+            self.0.calls()
+        }
+
+        fn reset_calls(&self) {
+            self.0.reset_calls()
+        }
+    }
+
+    #[test]
+    fn warm_store_hits_are_answered_per_request_and_only_misses_are_batched() {
+        use abae_data::{CachedOracle, LabelStore};
+
+        // 1000 distinct draws in scrambled order; the store holds the
+        // two thirds whose id is not a multiple of 3.
+        let ids: Vec<usize> = (0..1000).map(|i| i * 7919 % 5000).collect();
+        let held = |id: &usize| id % 3 != 0;
+        let misses: Vec<usize> = ids.iter().copied().filter(|id| !held(id)).collect();
+        let warm_store = || {
+            let store = LabelStore::new();
+            let warm: Vec<usize> = ids.iter().copied().filter(held).collect();
+            CachedOracle::new(oracle(), &store, "t", "p").label_batch(&warm);
+            store
+        };
+        let recording = || Recording { inner: oracle(), batches: Mutex::new(Vec::new()) };
+
+        for threads in [1, 8] {
+            for batch in [1, 7, 256, 4096] {
+                let opts = ExecOptions::new(threads, batch);
+                let (packed_store, per_chunk_store) = (warm_store(), warm_store());
+                let packed = CachedOracle::new(recording(), &packed_store, "t", "p");
+                let per_chunk =
+                    PerChunk(CachedOracle::new(oracle(), &per_chunk_store, "t", "p"));
+
+                let got = label_all(&packed, &ids, &opts);
+                let want = label_all(&per_chunk, &ids, &opts);
+                assert_eq!(got, want, "threads={threads} batch={batch}");
+                let chunked = &per_chunk.0;
+                assert_eq!((packed.hits(), packed.misses()), (chunked.hits(), chunked.misses()));
+                assert_eq!(
+                    (packed.hits(), packed.misses()),
+                    ((ids.len() - misses.len()) as u64, misses.len() as u64)
+                );
+                assert_eq!(
+                    (packed_store.hits(), packed_store.misses()),
+                    (per_chunk_store.hits(), per_chunk_store.misses())
+                );
+                assert_eq!(packed.calls(), per_chunk.calls());
+
+                // The inner oracle saw only the misses, in input order, cut
+                // into ⌈misses / batch⌉ full batches (workers may record
+                // them out of order).
+                let mut batches = packed.into_inner().batches.into_inner().unwrap();
+                batches.sort_by_key(|b| misses.iter().position(|id| *id == b[0]));
+                let cut: Vec<Vec<usize>> = misses.chunks(batch).map(<[usize]>::to_vec).collect();
+                assert_eq!(batches.len(), misses.len().div_ceil(batch));
+                assert_eq!(batches, cut, "threads={threads} batch={batch}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn out_of_order_stored_labels_are_rejected() {
+        struct Unordered;
+        impl Oracle for Unordered {
+            fn label_batch(&self, indices: &[usize]) -> Vec<Labeled> {
+                indices.iter().map(|&i| Labeled { matches: true, value: i as f64 }).collect()
+            }
+            fn stored_labels(&self, _: &[usize]) -> Vec<(usize, Labeled)> {
+                let label = Labeled { matches: false, value: 0.0 };
+                vec![(1, label), (0, label)]
+            }
+            fn calls(&self) -> u64 {
+                0
+            }
+            fn reset_calls(&self) {}
+        }
+        label_all(&Unordered, &[10, 11, 12], &ExecOptions::new(1, 2));
     }
 
     #[test]

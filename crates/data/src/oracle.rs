@@ -110,6 +110,24 @@ pub trait Oracle: Sync {
     /// inference the paper's cost metric counts.
     fn label_batch(&self, indices: &[usize]) -> Vec<Labeled>;
 
+    /// The labels this oracle already holds for some of `indices`, as
+    /// `(position in indices, label)` pairs in ascending position order,
+    /// charging no invocation. A caller must use each returned label
+    /// instead of labeling that position: an oracle may count the records
+    /// it returns as served (a [`CachedOracle`] counts them as hits).
+    ///
+    /// `abae_core::pipeline::label_all` asks once per labeling request and
+    /// cuts only the remaining records into `label_batch` calls, so a warm
+    /// [`LabelStore`] sends full device batches instead of one thin batch
+    /// per chunk of draws. The default holds nothing and returns an empty,
+    /// unallocated vector. A wrapper oracle should forward this method to
+    /// the oracle it wraps; one that does not loses only the packing, never
+    /// correctness, because the wrapped oracle's `label_batch` still
+    /// answers what it holds.
+    fn stored_labels(&self, _indices: &[usize]) -> Vec<(usize, Labeled)> {
+        Vec::new()
+    }
+
     /// Labels one record, charging one invocation (a one-element batch).
     fn label(&self, idx: usize) -> Labeled {
         self.label_batch(std::slice::from_ref(&idx))
@@ -414,10 +432,15 @@ impl LabelStore {
 /// are available via [`CachedOracle::hits`] / [`CachedOracle::misses`];
 /// the same counts are added to the store's lifetime totals.
 ///
-/// Batches are checked and labeled per call. The draws of one query are
-/// without replacement, so concurrent batches never share a record index
-/// and every record is labeled at most once; results are bit-identical to
-/// the uncached oracle for any thread count or batch size.
+/// Hits are answered once per labeling request: [`Oracle::stored_labels`]
+/// returns every record of the request the store already holds, counting
+/// them as hits, and the batch pipeline cuts only the misses into
+/// `label_batch` calls. `label_batch` still checks its own batch, so a
+/// record another session labeled after the request's lookup is answered
+/// from the store, never charged twice. The draws of one query are without
+/// replacement, so concurrent batches never share a record index and every
+/// record is labeled at most once; results are bit-identical to the
+/// uncached oracle for any thread count or batch size.
 pub struct CachedOracle<'a, O> {
     inner: O,
     cache: Arc<PredicateCache>,
@@ -490,6 +513,21 @@ impl<O: Oracle> Oracle for CachedOracle<'_, O> {
         self.misses.fetch_add(misses, Ordering::Relaxed);
         self.store.record(hits, misses);
         out.into_iter().map(|l| l.expect("every index answered by hit or miss path")).collect()
+    }
+
+    fn stored_labels(&self, indices: &[usize]) -> Vec<(usize, Labeled)> {
+        let stored: Vec<(usize, Labeled)> = {
+            let map = self.cache.labels.read().expect("no panics while holding the cache lock");
+            indices
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, idx)| map.get(idx).map(|&label| (pos, label)))
+                .collect()
+        };
+        let hits = stored.len() as u64;
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.store.record(hits, 0);
+        stored
     }
 
     fn calls(&self) -> u64 {
@@ -696,6 +734,23 @@ mod tests {
         assert_eq!(cached.calls(), 3);
         assert_eq!(store.cached_verdicts("t", "p"), 3);
         assert_eq!((store.hits(), store.misses()), (7, 3));
+    }
+
+    #[test]
+    fn stored_labels_return_held_verdicts_in_position_order_as_hits() {
+        let t = table();
+        let store = LabelStore::new();
+        let plain = PredicateOracle::new(&t, "p").unwrap();
+        assert!(plain.stored_labels(&[0, 1, 2]).is_empty(), "a plain oracle holds nothing");
+        let cached = CachedOracle::new(plain, &store, "t", "p");
+        let held = cached.label_batch(&[2, 0]);
+        let stored = cached.stored_labels(&[1, 0, 2, 1]);
+        assert_eq!(stored, vec![(1, held[1]), (2, held[0])]);
+        // The returned records count as hits and charge nothing; the
+        // misses are left for `label_batch`.
+        assert_eq!(cached.calls(), 2);
+        assert_eq!((cached.hits(), cached.misses()), (2, 2));
+        assert_eq!((store.hits(), store.misses()), (2, 2));
     }
 
     #[test]

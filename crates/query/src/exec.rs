@@ -727,6 +727,64 @@ mod explain_tests {
     }
 
     #[test]
+    fn explain_group_by_budget_split_is_the_shared_pilot() {
+        // GROUP BY spends one uniform pilot of ⌊C·budget⌋ records, capped
+        // at the table size and shared by every group's stratification,
+        // then gives the rest to the minimax allocation — not K strata x
+        // ⌊C·budget/K⌋.
+        let grouped = |n: usize| {
+            let key: Vec<Option<u16>> = (0..n).map(|i| Some((i % 2) as u16)).collect();
+            let proxy: Vec<f64> = (0..n).map(|i| (i % 10) as f64 / 10.0).collect();
+            Table::builder("images", (0..n).map(|i| (i % 5) as f64).collect::<Vec<_>>())
+                .predicate("is_a", (0..n).map(|i| i % 2 == 0).collect(), proxy.clone())
+                .predicate("is_b", (0..n).map(|i| i % 2 == 1).collect(), proxy)
+                .group_key(vec!["a".into(), "b".into()], key)
+                .build()
+                .unwrap()
+        };
+        let sql = |limit: usize| {
+            format!(
+                "SELECT AVG(x), g FROM images WHERE g(img) = 'a' OR g(img) = 'b' \
+                 GROUP BY g(img) ORACLE LIMIT {limit}"
+            )
+        };
+        let catalog = |n: usize| {
+            let mut cat = Catalog::new();
+            cat.register_table(grouped(n));
+            cat.bind_predicate("images", "g=a", "is_a");
+            cat.bind_predicate("images", "g=b", "is_b");
+            cat
+        };
+        let line = |pilot: usize, rest: usize, limit: usize| {
+            format!(
+                "budget : {limit} oracle calls = pilot ({pilot} uniform draws shared by 2 group \
+                 stratifications) + stage 2 ({rest}, minimax across groups)"
+            )
+        };
+
+        let cat = catalog(5_000);
+        let exec = Executor::new(&cat);
+        for (limit, pilot, rest) in [(1000, 500, 500), (1003, 501, 502), (10, 5, 5)] {
+            let plan = exec.explain(&sql(limit)).unwrap();
+            assert_eq!(
+                pilot,
+                abae_core::groupby::single_oracle_pilot(limit, exec.stage1_fraction, 5_000)
+            );
+            let expected = line(pilot, rest, limit);
+            assert!(plan.contains(&expected), "{plan}\nexpected line: {expected}");
+        }
+
+        // A table smaller than the pilot caps it at the table size: the run
+        // labels every record once and nothing more.
+        let small = catalog(100);
+        let exec = Executor { bootstrap_trials: 20, ..Executor::new(&small) };
+        let plan = exec.explain(&sql(1000)).unwrap();
+        assert!(plan.contains(&line(100, 900, 1000)), "{plan}");
+        let r = exec.execute(&sql(1000), &mut rand::rngs::StdRng::seed_from_u64(4)).unwrap();
+        assert_eq!(r.oracle_calls, 100, "the pilot labeled the whole table");
+    }
+
+    #[test]
     fn explain_reports_multi_aggregate_plans_and_cache_state() {
         let n = 100;
         let labels: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();

@@ -23,8 +23,8 @@ use crate::exec::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot};
 use abae_core::batcher::{GovernedOracle, OracleBatcher};
 use abae_core::config::{AbaeConfig, Aggregate, BootstrapConfig};
 use abae_core::groupby::{
-    groupby_single_oracle_progressive, groupby_single_oracle_with_ci, GroupByConfig,
-    GroupSnapshot,
+    groupby_single_oracle_progressive, groupby_single_oracle_with_ci, single_oracle_pilot,
+    GroupByConfig, GroupSnapshot,
 };
 use abae_core::multipred::{expression_oracle, PredExpr};
 use abae_core::two_stage::{
@@ -400,11 +400,12 @@ fn run_plan_inner<R: Rng + ?Sized>(
 
     match &plan.kind {
         PlanKind::Scalar { expr, source, pred_key } => {
-            // The per-query expression oracle, governed: every labeling
-            // chunk is admitted to a (possibly cross-session-shared)
-            // invocation before labeling. Layered *inside* the cached
-            // oracle below, so records the label store answers never
-            // consume a batch slot (cache-aware scheduling).
+            // The per-query expression oracle, governed: every batch it
+            // labels is admitted to a (possibly cross-session-shared)
+            // invocation first. Layered *inside* the cached oracle below,
+            // so records the label store answers never consume a batch
+            // slot: they are answered once per labeling request and only
+            // the misses are cut into batches (cache-aware scheduling).
             let oracle = GovernedOracle::new(
                 expression_oracle(table, expr).map_err(QueryError::Table)?,
                 ctx.batcher,
@@ -645,18 +646,30 @@ pub(crate) fn explain_plan(
             query.aggs.len()
         ));
     }
-    // The split comes from the same `stage_split` execution uses, so the
+    // The split comes from the same helper execution uses (`stage_split`
+    // for scalar plans, the shared uniform pilot for GROUP BY), so the
     // printed plan cannot drift from what actually runs. An unbound
     // placeholder budget has no split yet — say so instead of guessing.
     match effective_budget(query, bindings) {
-        Ok(limit) => {
-            let split =
-                abae_sampling::budget::stage_split(limit, opts.stage1_fraction, opts.strata);
-            lines.push(format!(
-                "budget : {} oracle calls = stage 1 ({} strata x {}) + stage 2 ({})",
-                limit, opts.strata, split.n1_per_stratum, split.n2_total,
-            ));
-        }
+        Ok(limit) => lines.push(match &plan.kind {
+            PlanKind::GroupBy { groups } => {
+                let pilot = single_oracle_pilot(limit, opts.stage1_fraction, table.len());
+                format!(
+                    "budget : {limit} oracle calls = pilot ({pilot} uniform draws shared by {} \
+                     group stratifications) + stage 2 ({}, minimax across groups)",
+                    groups.len(),
+                    limit.saturating_sub(pilot),
+                )
+            }
+            PlanKind::Scalar { .. } => {
+                let split =
+                    abae_sampling::budget::stage_split(limit, opts.stage1_fraction, opts.strata);
+                format!(
+                    "budget : {} oracle calls = stage 1 ({} strata x {}) + stage 2 ({})",
+                    limit, opts.strata, split.n1_per_stratum, split.n2_total,
+                )
+            }
+        }),
         Err(_) => lines.push(
             "budget : ? oracle calls (placeholder — bind with Prepared::with_budget)".to_string(),
         ),
@@ -717,10 +730,12 @@ pub(crate) fn explain_plan(
         }
         (Some(store), PlanKind::Scalar { pred_key, .. }) => format!(
             "cache  : label store enabled — {} verdicts cached for this predicate \
-             ({} hits / {} misses lifetime)",
+             ({} hits / {} misses lifetime); hits are answered per labeling request, \
+             misses labeled in batches of up to {}",
             store.cached_verdicts(&query.table, pred_key),
             store.hits(),
             store.misses(),
+            opts.exec.batch_size.max(1),
         ),
         (None, _) => "cache  : label store disabled (Catalog::enable_label_cache)".to_string(),
     });

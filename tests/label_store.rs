@@ -8,11 +8,22 @@
 //!   the labeling pipeline;
 //! * different queries over the same (table, predicate) share verdicts;
 //! * replacing a table drops its verdicts so stale labels never answer
-//!   queries over new data.
+//!   queries over new data;
+//! * answering a request's store hits up front and packing only its misses
+//!   into batches changes invocation counts, never answers or spend.
 
+use abae::core::multipred::{expression_oracle, PredExpr};
 use abae::core::pipeline::ExecOptions;
-use abae::data::Table;
+use abae::core::two_stage::run_abae_multi_with_ci_stratified;
+use abae::core::{
+    AbaeConfig, Aggregate, BatcherOptions, BootstrapConfig, GovernedOracle, OracleBatcher,
+    Stratification,
+};
+use abae::data::{CachedOracle, LabelStore, Labeled, Oracle, Table};
 use abae::query::{Catalog, Engine, EngineBuilder, QueryResult};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Mutex;
 
 fn spam_table(n: usize) -> Table {
     let labels: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
@@ -188,5 +199,129 @@ fn disabling_the_cache_restores_fresh_labeling() {
         assert_eq!(r.oracle_calls, first.oracle_calls, "fresh labeling pays full price");
         assert_eq!((r.cache_hits, r.cache_misses), (0, 0));
         assert_eq!(r.rows, first.rows, "caching never changes answers");
+    }
+}
+
+/// Hides [`Oracle::stored_labels`] from the pipeline: the per-chunk path,
+/// where every chunk of draws reaches the store's `label_batch`.
+struct PerChunk<'a, O>(&'a O);
+
+impl<O: Oracle> Oracle for PerChunk<'_, O> {
+    fn label_batch(&self, indices: &[usize]) -> Vec<Labeled> {
+        self.0.label_batch(indices)
+    }
+
+    fn calls(&self) -> u64 {
+        self.0.calls()
+    }
+
+    fn reset_calls(&self) {
+        self.0.reset_calls()
+    }
+}
+
+/// Forwards everything and records each labeling request's size and the
+/// number of records the store answered for it.
+struct Requests<O> {
+    inner: O,
+    seen: Mutex<Vec<(usize, usize)>>,
+}
+
+impl<O: Oracle> Oracle for Requests<O> {
+    fn label_batch(&self, indices: &[usize]) -> Vec<Labeled> {
+        self.inner.label_batch(indices)
+    }
+
+    fn stored_labels(&self, indices: &[usize]) -> Vec<(usize, Labeled)> {
+        let stored = self.inner.stored_labels(indices);
+        self.seen.lock().unwrap().push((indices.len(), stored.len()));
+        stored
+    }
+
+    fn calls(&self) -> u64 {
+        self.inner.calls()
+    }
+
+    fn reset_calls(&self) {
+        self.inner.reset_calls()
+    }
+}
+
+#[test]
+fn packed_misses_match_the_per_chunk_path_bit_for_bit() {
+    // The stack a scalar statement labels through —
+    // `CachedOracle<GovernedOracle<expression oracle>>` — running a
+    // blocking three-aggregate statement over a store a different draw
+    // left partly warm. The per-chunk run hides `stored_labels` behind an
+    // outer wrapper; everything but the invocation count must agree.
+    let table = spam_table(20_000);
+    let expr = PredExpr::Pred(0);
+    let strata = Stratification::by_proxy_quantile(table.predicates()[0].proxy(), 5);
+    let aggs = [Aggregate::Count, Aggregate::Sum, Aggregate::Avg];
+    for exec in [ExecOptions::default(), ExecOptions::new(1, 7), ExecOptions::new(8, 256)] {
+        let config = AbaeConfig {
+            strata: 5,
+            budget: 2000,
+            bootstrap: BootstrapConfig { trials: 100, alpha: 0.05 },
+            exec,
+            ..Default::default()
+        };
+        let run = |hide: bool| {
+            let store = LabelStore::new();
+            let warm = CachedOracle::new(
+                expression_oracle(&table, &expr).unwrap(),
+                &store,
+                "emails",
+                "is_spam",
+            );
+            let mut rng = StdRng::seed_from_u64(11);
+            run_abae_multi_with_ci_stratified(&strata, &warm, &config, &aggs, &mut rng).unwrap();
+
+            let batcher = OracleBatcher::new(BatcherOptions::default());
+            let governed = GovernedOracle::new(
+                expression_oracle(&table, &expr).unwrap(),
+                Some(&batcher),
+                "emails/is_spam",
+                3,
+            );
+            let cached = Requests {
+                inner: CachedOracle::new(governed, &store, "emails", "is_spam"),
+                seen: Mutex::new(Vec::new()),
+            };
+            let mut rng = StdRng::seed_from_u64(12);
+            let result = if hide {
+                run_abae_multi_with_ci_stratified(
+                    &strata,
+                    &PerChunk(&cached),
+                    &config,
+                    &aggs,
+                    &mut rng,
+                )
+            } else {
+                run_abae_multi_with_ci_stratified(&strata, &cached, &config, &aggs, &mut rng)
+            }
+            .unwrap();
+            let counts = (cached.inner.hits(), cached.inner.misses(), store.hits(), store.misses());
+            let requests = cached.seen.into_inner().unwrap();
+            (result, counts, batcher.stats(), batcher.per_session_spend(), requests)
+        };
+
+        let (packed, counts, stats, spend, requests) = run(false);
+        let (per_chunk, chunk_counts, chunk_stats, chunk_spend, _) = run(true);
+        assert_eq!(packed, per_chunk, "{exec:?}");
+        assert_eq!(packed.oracle_calls, per_chunk.oracle_calls, "{exec:?}");
+        assert_eq!(counts, chunk_counts, "{exec:?}: hits and misses, per query and lifetime");
+        assert_eq!(spend, chunk_spend, "{exec:?}: per-session spend");
+        assert_eq!(stats.labeled_records, chunk_stats.labeled_records, "{exec:?}");
+        let (hits, misses) = (counts.0, counts.1);
+        assert!(hits > 0 && misses > 0, "{exec:?}: the store must be partly warm");
+
+        // One request per stage; each packs its misses into full batches.
+        let batch = exec.batch_size.max(1);
+        assert_eq!(requests.len(), 2, "{exec:?}: stage 1 and stage 2");
+        let expected: usize = requests.iter().map(|&(n, held)| (n - held).div_ceil(batch)).sum();
+        assert_eq!(stats.invocations, expected as u64, "{exec:?}");
+        assert!(stats.invocations <= chunk_stats.invocations, "{exec:?}");
+        assert_eq!(requests.iter().map(|&(_, held)| held as u64).sum::<u64>(), hits);
     }
 }
