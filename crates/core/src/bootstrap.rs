@@ -37,20 +37,38 @@
 //! lanes), else 1, so a census-sized draw set holds one replicate's
 //! positives at a time. Every lane count runs the same generic kernel.
 //!
+//! # Across cores
+//!
+//! Replicates are independent given their RNG words, and a replicate over
+//! `D` draws reads exactly `D` words. For the bootstraps of a progressive
+//! run, [`pipeline`] therefore runs the kernel in blocks of 64 replicates:
+//! block `j` starts `64·j·D` words into the caller's stream by jump-ahead,
+//! workers on the free cores claim blocks, and the estimates are
+//! reassembled in replicate order. 64 is a multiple of every lane count,
+//! so a block's lanes group its replicates as one run would, and the CIs
+//! and the caller's stream are the bits of one thread on any core count.
+//! [`stratified_bootstrap_cis`], a blocking statement's bootstrap, keeps
+//! its replicates on the calling thread (the `pipeline` module docs say
+//! why).
+//!
 //! The paper notes the bootstrap's CPU cost is negligible next to oracle
 //! invocations (§3.1: 1,000 trials cost about as much as 2,500 oracle
 //! calls on a T4). The Criterion case `bootstrap_1000_trials` in
-//! `abae_bench` (5 strata × 2,000 draws, 1,000 trials) measures this
-//! kernel: 35 ms median on a 2-vCPU VM, against 92 ms for the
-//! copy-and-fold loop it replaced. Priced in oracle calls by the
-//! repository benchmark (`benchmark/`, `--trace 1`), a `refresh_1m`
-//! statement's 1,000-trial bootstrap took 9.4 ms, about 860 calls at
-//! `adhoc_wire`'s 10 µs of oracle and admission time per labeled record,
-//! against 24.9 ms and about 2,450 calls for the old loop. The paper's
-//! ratio held for the old loop; the kernel cuts it to about a third.
+//! `abae_bench` (5 strata × 2,000 draws, 1,000 trials, the calling
+//! thread) measures this kernel at 37–41 ms median on a 2-vCPU VM,
+//! against 92 ms for the copy-and-fold loop it replaced; split across
+//! both cores the same replicates took 18–21 ms. Priced in oracle calls
+//! by the repository benchmark (`benchmark/`, `--trace 1`), a
+//! `refresh_1m` statement's 1,000-trial bootstrap takes about 10 ms, about
+//! 890 calls at `adhoc_wire`'s 10 µs of oracle and admission time per
+//! labeled record, against about 2,450 calls for the old loop; an
+//! `anytime_until` statement's 14 snapshot bootstraps took 99 ms on one
+//! core and 62 ms split. So on this host the paper's ratio holds with
+//! room to spare.
 
 use crate::config::{Aggregate, BootstrapConfig};
 use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::pipeline::{self, ReplicateThreads, Replicates};
 use abae_data::Labeled;
 use abae_stats::bootstrap::{percentile_ci, ConfidenceInterval};
 use rand::Rng;
@@ -95,7 +113,22 @@ pub fn stratified_bootstrap_ci<R: Rng + ?Sized>(
 /// (`None` for all of them when every stratum is empty or `trials == 0`).
 /// For a single aggregate this consumes exactly the same RNG stream as
 /// [`stratified_bootstrap_ci`] always has — seeded results are unchanged.
+/// The replicates run on the calling thread; a progressive run's
+/// bootstraps split them across cores with the same bits (see the module
+/// docs).
 pub fn stratified_bootstrap_cis<R: Rng + ?Sized>(
+    samples: &[Vec<Labeled>],
+    sizes: &[usize],
+    aggs: &[Aggregate],
+    config: &BootstrapConfig,
+    rng: &mut R,
+) -> Vec<Option<ConfidenceInterval>> {
+    bootstrap_cis_on(ReplicateThreads::Calling, samples, sizes, aggs, config, rng)
+}
+
+/// [`stratified_bootstrap_cis`] with its replicates run by `threads`.
+pub(crate) fn bootstrap_cis_on<R: Rng + ?Sized>(
+    threads: ReplicateThreads,
     samples: &[Vec<Labeled>],
     sizes: &[usize],
     aggs: &[Aggregate],
@@ -107,13 +140,34 @@ pub fn stratified_bootstrap_cis<R: Rng + ?Sized>(
         return vec![None; aggs.len()];
     }
     let draws = samples.iter().map(Vec::len).sum();
-    let replicates = match lanes_for(draws) {
-        8 => replicate_estimates::<8, R>(samples, sizes, aggs, config.trials, rng),
-        4 => replicate_estimates::<4, R>(samples, sizes, aggs, config.trials, rng),
-        2 => replicate_estimates::<2, R>(samples, sizes, aggs, config.trials, rng),
-        _ => replicate_estimates::<1, R>(samples, sizes, aggs, config.trials, rng),
-    };
+    let kernel = DrawKernel { samples, sizes, aggs, lanes: lanes_for(draws) };
+    let replicates = pipeline::replicates(&kernel, config.trials, draws, threads, rng);
     replicates.into_iter().map(|mut reps| percentile_ci(&mut reps, config.alpha)).collect()
+}
+
+/// The replicate kernel over one draw set at the lane count [`lanes_for`]
+/// picks; a replicate reads one word per draw.
+struct DrawKernel<'a> {
+    samples: &'a [Vec<Labeled>],
+    sizes: &'a [usize],
+    aggs: &'a [Aggregate],
+    lanes: usize,
+}
+
+impl Replicates for DrawKernel<'_> {
+    fn statistics(&self) -> usize {
+        self.aggs.len()
+    }
+
+    fn run<G: Rng + ?Sized>(&self, reps: usize, rng: &mut G) -> Vec<Vec<f64>> {
+        let (samples, sizes, aggs) = (self.samples, self.sizes, self.aggs);
+        match self.lanes {
+            8 => replicate_estimates::<8, G>(samples, sizes, aggs, reps, rng),
+            4 => replicate_estimates::<4, G>(samples, sizes, aggs, reps, rng),
+            2 => replicate_estimates::<2, G>(samples, sizes, aggs, reps, rng),
+            _ => replicate_estimates::<1, G>(samples, sizes, aggs, reps, rng),
+        }
+    }
 }
 
 /// The replicate kernel (see the module docs): runs `trials` replicates in
@@ -410,6 +464,90 @@ mod tests {
             let want = reference_cis(&samples, &sizes, &ALL_AGGS, &config, &mut theirs);
             assert_eq!(ci_bits(&got), ci_bits(&want), "{lanes} lanes");
             assert_eq!(ours.next_u64(), theirs.next_u64(), "{lanes} lanes");
+        }
+    }
+
+    /// A generator that cannot jump: [`RngCore::jumpable`] keeps its default.
+    struct Unjumpable(StdRng);
+
+    impl RngCore for Unjumpable {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+    }
+
+    /// [`stratified_bootstrap_cis`] for every aggregate, with the
+    /// replicates split across a forced worker count.
+    fn cis_on<R: Rng + ?Sized>(
+        workers: usize,
+        samples: &[Vec<Labeled>],
+        sizes: &[usize],
+        config: &BootstrapConfig,
+        rng: &mut R,
+    ) -> Vec<Option<ConfidenceInterval>> {
+        let draws = samples.iter().map(Vec::len).sum();
+        let kernel = DrawKernel { samples, sizes, aggs: &ALL_AGGS, lanes: lanes_for(draws) };
+        pipeline::replicates_on(workers, &kernel, config.trials, draws, rng)
+            .into_iter()
+            .map(|mut reps| percentile_ci(&mut reps, config.alpha))
+            .collect()
+    }
+
+    #[test]
+    fn split_replicates_match_the_calling_thread_bit_for_bit() {
+        // 3 strata of 3, 50 and 700 draws: at 1,000 trials the resampled
+        // draws fall below (9k), just above (150k) and well above (2.1M)
+        // the split floor of 2^17; at 65 trials only the last is above.
+        for per_stratum in [3, 50, 700] {
+            let mut gen = StdRng::seed_from_u64(per_stratum as u64);
+            let samples: Vec<Vec<Labeled>> = (0..3)
+                .map(|k| {
+                    (0..per_stratum)
+                        .map(|_| labeled(gen.gen::<f64>() < 0.3 * k as f64, edge_value(&mut gen)))
+                        .collect()
+                })
+                .collect();
+            let sizes = vec![10 * per_stratum; 3];
+            for trials in [1, 63, 64, 65, 1000] {
+                let config = BootstrapConfig { trials, alpha: 0.05 };
+                let rng = StdRng::seed_from_u64(trials as u64);
+                let mut theirs = rng.clone();
+                let want = reference_cis(&samples, &sizes, &ALL_AGGS, &config, &mut theirs);
+                let (want, after) = (ci_bits(&want), theirs.next_u64());
+                for workers in [1, 2, 4] {
+                    let case = format!("{per_stratum}/stratum, {trials} trials, {workers} workers");
+                    let mut ours = rng.clone();
+                    let got = cis_on(workers, &samples, &sizes, &config, &mut ours);
+                    assert_eq!(ci_bits(&got), want, "{case}");
+                    assert_eq!(ours.next_u64(), after, "{case}");
+                }
+                let case = format!("{per_stratum}/stratum, {trials} trials");
+                let mut ours = rng.clone();
+                let got = stratified_bootstrap_cis(&samples, &sizes, &ALL_AGGS, &config, &mut ours);
+                assert_eq!(ci_bits(&got), want, "{case}, public entry");
+                assert_eq!(ours.next_u64(), after, "{case}, public entry");
+                // A progressive run's entry: split on the free cores.
+                let mut ours = rng.clone();
+                let got = bootstrap_cis_on(
+                    ReplicateThreads::FreeCores,
+                    &samples,
+                    &sizes,
+                    &ALL_AGGS,
+                    &config,
+                    &mut ours,
+                );
+                assert_eq!(ci_bits(&got), want, "{case}, free cores");
+                assert_eq!(ours.next_u64(), after, "{case}, free cores");
+                // A generator that cannot jump stays on the calling thread.
+                let mut plain = Unjumpable(rng.clone());
+                let got = cis_on(4, &samples, &sizes, &config, &mut plain);
+                assert_eq!(ci_bits(&got), want, "{case}, unjumpable");
+                assert_eq!(plain.next_u64(), after, "{case}, unjumpable");
+            }
         }
     }
 

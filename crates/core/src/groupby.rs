@@ -24,6 +24,7 @@
 use crate::allocation::optimal_allocation;
 use crate::config::{BootstrapConfig, ConfigError};
 use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::pipeline::{self, ReplicateThreads, Replicates};
 use crate::strata::Stratification;
 use crate::two_stage::ProgressiveOptions;
 use abae_data::{GroupLabel, GroupOracle, Labeled, Oracle};
@@ -158,6 +159,7 @@ impl CellStats {
 /// The cells of every (stratification, stratum, group) triple, stored so
 /// that one (stratification, group) row of `K` cells is contiguous: cell
 /// `(l, kk, gg)` sits at `(l·G + gg)·K + kk`.
+#[derive(Clone)]
 struct CellGrid {
     groups: usize,
     strata: usize,
@@ -377,52 +379,109 @@ pub fn groupby_single_oracle_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 /// stratifications in order, strata in order, one `gen_range(0..n)` per
 /// draw — straight into the bucket's cells, every group in one pass, and
 /// takes the same [`estimates_from_cells`] step as the point estimate, so
-/// it equals [`single_oracle_estimates`] over the resampled ids.
+/// it equals [`single_oracle_estimates`] over the resampled ids. The
+/// replicates run on the calling thread: this is a blocking statement's
+/// bootstrap.
 fn single_oracle_bootstrap_cis<R: Rng + ?Sized>(
     run: &SingleOracleRun,
     bootstrap: &BootstrapConfig,
     rng: &mut R,
 ) -> Vec<GroupEstimateWithCi> {
-    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(Stratification::sizes).collect();
-    let labels: Vec<Vec<Vec<GroupLabel>>> = run
-        .buckets
-        .iter()
-        .map(|buckets| {
-            buckets
-                .iter()
-                .map(|ids| ids.iter().map(|id| cached_label(&run.cache, id)).collect())
-                .collect()
-        })
-        .collect();
-    let mut grid = CellGrid::new(labels.len(), run.buckets.first().map(Vec::len).unwrap_or(0));
-    for (l, buckets) in labels.iter().enumerate() {
-        for (kk, bucket) in buckets.iter().enumerate() {
-            grid.fill_bucket(l, kk, bucket.iter().copied());
-        }
-    }
-    let points = estimates_from_cells(&grid, &sizes);
-    let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(bootstrap.trials); points.len()];
-    for _ in 0..bootstrap.trials {
+    single_oracle_bootstrap_cis_on(ReplicateThreads::Calling, run, bootstrap, rng)
+}
+
+/// [`single_oracle_bootstrap_cis`] with its replicates run by `threads`. A
+/// replicate reads one word per bucket draw, so a progressive run's
+/// replicates split into blocks across cores like the scalar bootstrap's
+/// ([`pipeline::replicates`]).
+fn single_oracle_bootstrap_cis_on<R: Rng + ?Sized>(
+    threads: ReplicateThreads,
+    run: &SingleOracleRun,
+    bootstrap: &BootstrapConfig,
+    rng: &mut R,
+) -> Vec<GroupEstimateWithCi> {
+    let kernel = GroupReplicates::new(run);
+    let replicates = pipeline::replicates(&kernel, bootstrap.trials, kernel.draws, threads, rng);
+    kernel.with_cis(replicates, bootstrap.alpha)
+}
+
+/// The single-oracle GROUP BY replicate kernel: every bucket's labels,
+/// looked up once, and the point estimate's cells.
+struct GroupReplicates {
+    /// `labels[l][kk]`: bucket `(l, kk)`'s labels in draw order.
+    labels: Vec<Vec<Vec<GroupLabel>>>,
+    /// `sizes[l]`: stratification `l`'s stratum sizes.
+    sizes: Vec<Vec<usize>>,
+    /// The point estimate's cells; every block of replicates refills a copy.
+    grid: CellGrid,
+    /// Draws per replicate: the sum of the bucket sizes.
+    draws: usize,
+}
+
+impl GroupReplicates {
+    fn new(run: &SingleOracleRun) -> Self {
+        let sizes: Vec<Vec<usize>> =
+            run.stratifications.iter().map(Stratification::sizes).collect();
+        let labels: Vec<Vec<Vec<GroupLabel>>> = run
+            .buckets
+            .iter()
+            .map(|buckets| {
+                buckets
+                    .iter()
+                    .map(|ids| ids.iter().map(|id| cached_label(&run.cache, id)).collect())
+                    .collect()
+            })
+            .collect();
+        let mut grid =
+            CellGrid::new(labels.len(), run.buckets.first().map(Vec::len).unwrap_or(0));
+        let mut draws = 0;
         for (l, buckets) in labels.iter().enumerate() {
             for (kk, bucket) in buckets.iter().enumerate() {
-                let n = bucket.len();
-                grid.fill_bucket(l, kk, (0..n).map(|_| bucket[rng.gen_range(0..n)]));
+                grid.fill_bucket(l, kk, bucket.iter().copied());
+                draws += bucket.len();
             }
         }
-        for (reps, e) in replicates.iter_mut().zip(estimates_from_cells(&grid, &sizes)) {
-            reps.push(e);
-        }
+        GroupReplicates { labels, sizes, grid, draws }
     }
-    points
-        .into_iter()
-        .zip(replicates)
-        .enumerate()
-        .map(|(gg, (estimate, mut reps))| GroupEstimateWithCi {
-            group: gg as u16,
-            estimate,
-            ci: abae_stats::bootstrap::percentile_ci(&mut reps, bootstrap.alpha),
-        })
-        .collect()
+
+    /// Each group's point estimate with the percentile CI of its replicate
+    /// estimates.
+    fn with_cis(&self, replicates: Vec<Vec<f64>>, alpha: f64) -> Vec<GroupEstimateWithCi> {
+        estimates_from_cells(&self.grid, &self.sizes)
+            .into_iter()
+            .zip(replicates)
+            .enumerate()
+            .map(|(gg, (estimate, mut reps))| GroupEstimateWithCi {
+                group: gg as u16,
+                estimate,
+                ci: abae_stats::bootstrap::percentile_ci(&mut reps, alpha),
+            })
+            .collect()
+    }
+}
+
+impl Replicates for GroupReplicates {
+    fn statistics(&self) -> usize {
+        self.labels.len()
+    }
+
+    fn run<G: Rng + ?Sized>(&self, reps: usize, rng: &mut G) -> Vec<Vec<f64>> {
+        let mut grid = self.grid.clone();
+        let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); self.labels.len()];
+        for _ in 0..reps {
+            for (l, buckets) in self.labels.iter().enumerate() {
+                for (kk, bucket) in buckets.iter().enumerate() {
+                    let n = bucket.len();
+                    grid.fill_bucket(l, kk, (0..n).map(|_| bucket[rng.gen_range(0..n)]));
+                }
+            }
+            let estimates = estimates_from_cells(&grid, &self.sizes);
+            for (reps, e) in replicates.iter_mut().zip(estimates) {
+                reps.push(e);
+            }
+        }
+        replicates
+    }
 }
 
 /// One progressive group-by snapshot: per-group estimates with CIs from
@@ -491,7 +550,12 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
     let chunked = {
         let mut observe = |state: &SingleOracleRun, spent: u64, pilot_complete: bool| -> bool {
             let mut fork = crate::two_stage::snapshot_rng(spent);
-            let groups = single_oracle_bootstrap_cis(state, bootstrap, &mut fork);
+            let groups = single_oracle_bootstrap_cis_on(
+                ReplicateThreads::FreeCores,
+                state,
+                bootstrap,
+                &mut fork,
+            );
             // Stop only once the pilot stage is complete: partial-pilot CIs
             // can degenerate to zero width and would stop bogusly. Groups
             // with no CI yet (empty samples) keep the run going.
@@ -519,7 +583,8 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
 
     // Complete run: finish exactly as the blocking executor — bootstrap
     // CIs from the caller's RNG at the same stream position.
-    let groups = single_oracle_bootstrap_cis(&chunked.run, bootstrap, rng);
+    let groups =
+        single_oracle_bootstrap_cis_on(ReplicateThreads::FreeCores, &chunked.run, bootstrap, rng);
     let snap =
         GroupSnapshot { groups: groups.clone(), budget_spent: chunked.oracle_calls, done: true };
     on_snapshot(&snap);
@@ -1648,6 +1713,47 @@ mod ci_tests {
             let want = reference_bootstrap_cis(&run, &bootstrap, &mut theirs);
             proptest::prop_assert_eq!(group_bits(&got), group_bits(&want));
             proptest::prop_assert_eq!(ours.next_u64(), theirs.next_u64());
+        }
+    }
+
+    #[test]
+    fn split_replicates_match_the_calling_thread_bit_for_bit() {
+        use rand::RngCore as _;
+        // A real sampled run at two budgets, so that trials × draws falls
+        // on both sides of the split floor of 2^17 at 1,000 trials.
+        let t = two_group_table(20_000, 9);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        for budget in [60, 1500] {
+            let cfg = GroupByConfig { budget, ..Default::default() };
+            let run =
+                single_oracle_sample(&proxies, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
+                    .unwrap();
+            let kernel = GroupReplicates::new(&run);
+            let draws = kernel.draws;
+            assert_eq!(draws * 1000 < 1 << 17, budget == 60, "{draws} draws");
+            for trials in [1, 63, 64, 65, 1000] {
+                let bootstrap = BootstrapConfig { trials, alpha: 0.05 };
+                let rng = StdRng::seed_from_u64(trials as u64);
+                let mut theirs = rng.clone();
+                let want = group_bits(&reference_bootstrap_cis(&run, &bootstrap, &mut theirs));
+                let after = theirs.next_u64();
+                for workers in [1, 2, 4] {
+                    let case = format!("{draws} draws, {trials} trials, {workers} workers");
+                    let mut ours = rng.clone();
+                    let reps = pipeline::replicates_on(workers, &kernel, trials, draws, &mut ours);
+                    let got = kernel.with_cis(reps, bootstrap.alpha);
+                    assert_eq!(group_bits(&got), want, "{case}");
+                    assert_eq!(ours.next_u64(), after, "{case}");
+                }
+                for threads in [ReplicateThreads::Calling, ReplicateThreads::FreeCores] {
+                    let case = format!("{draws} draws, {trials} trials, {threads:?}");
+                    let mut ours = rng.clone();
+                    let got = single_oracle_bootstrap_cis_on(threads, &run, &bootstrap, &mut ours);
+                    assert_eq!(group_bits(&got), want, "{case}");
+                    assert_eq!(ours.next_u64(), after, "{case}");
+                }
+            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! Batch-parallel oracle labeling with deterministic output ordering.
+//! Batch-parallel oracle labeling and split bootstrap replicates, both
+//! with deterministic output ordering.
 //!
 //! The paper's oracle is a DNN invoked in batches on accelerators (§5.1),
 //! so the labeling hot path should look like batched model serving: chunk
@@ -11,15 +12,37 @@
 //! pipeline runs on 1 thread or 8 (`tests/parallel_determinism.rs` asserts
 //! exactly this).
 //!
-//! [`ExecOptions`] carries the two knobs — worker thread count and batch
-//! size — and is threaded through every algorithm config
+//! [`ExecOptions`] carries the two labeling knobs — worker thread count and
+//! batch size — and is threaded through every algorithm config
 //! ([`crate::config::AbaeConfig::exec`], [`crate::groupby::GroupByConfig::exec`],
 //! [`crate::adaptive::AdaptiveConfig::exec`]) as well as the query executor
 //! and `abae-cli`. Defaults honor the `ABAE_THREADS` / `ABAE_BATCH`
 //! environment variables so whole test runs can be flipped between serial
 //! and parallel execution (the CI matrix runs both).
+//!
+//! The bootstraps of a progressive run (Algorithm 2 at every snapshot)
+//! split the same way, with no knob. A run is cut into blocks of 64
+//! replicates; block `j` starts at its exact position in the caller's RNG
+//! stream by jump-ahead ([`rand::rngs::StdRng::strided`]); workers on the
+//! cores of `available_parallelism()` that no other replicate run holds
+//! claim blocks; and the estimates are reassembled in replicate order.
+//! Each replicate reads the words it would have read on one thread, so
+//! the CIs and the caller's next RNG output are the same bits on any core
+//! count.
+//!
+//! A blocking statement's one bootstrap stays on the calling thread
+//! (`ReplicateThreads`). On a shared VM the second vCPU is not always
+//! there: measured on a 2-vCPU host, a second busy thread added anywhere
+//! from nothing to a full core of throughput, the state flipping every few
+//! seconds. A statement whose only heavy step is one 5–10 ms bootstrap
+//! then ran at two speeds from one run to the next. A progressive run
+//! bootstraps at every snapshot for the whole statement, which is where
+//! the cores save the most.
 
 use abae_data::{GroupLabel, GroupOracle, Labeled, Oracle};
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -27,7 +50,10 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecOptions {
     /// Worker threads labeling batches. `0` and `1` both mean the calling
-    /// thread labels every batch itself.
+    /// thread labels every batch itself. This knob labels only: a
+    /// progressive run's bootstrap replicates use the cores
+    /// `available_parallelism()` reports, whatever it is set to (see the
+    /// module docs).
     pub threads: usize,
     /// Records per oracle batch (clamped to at least 1). This is the batch
     /// size handed to [`Oracle::label_batch`] — the analogue of a DNN
@@ -83,11 +109,6 @@ impl ExecOptions {
             batch_size: parse("ABAE_BATCH", Self::DEFAULT_BATCH).max(1),
         }
     }
-
-    /// Worker count actually used for `n_batches` batches.
-    fn workers(&self, n_batches: usize) -> usize {
-        self.threads.max(1).min(n_batches)
-    }
 }
 
 /// The default is read from the environment once per process (`ABAE_THREADS`
@@ -101,9 +122,51 @@ impl Default for ExecOptions {
     }
 }
 
+/// Runs `f(j)` for every `j` in `0..n` on up to `workers` threads — the
+/// calling thread plus scoped helpers — that claim indices from a shared
+/// counter, and returns the outputs in index order. Claim order depends on
+/// scheduling, but each output lands in its own slot, so reassembly does
+/// not; a helper that gets no core simply claims fewer indices.
+fn claim_each<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // Relaxed: the counter publishes no data; each slot's mutex and the
+    // scope's join order the outputs.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let j = next.fetch_add(1, Ordering::Relaxed);
+        if j >= n {
+            break;
+        }
+        let out = f(j);
+        *slots[j].lock().expect("no panics while holding a slot") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("worker panics propagate via scope")
+                .expect("every index below n is claimed")
+        })
+        .collect()
+}
+
 /// Maps `ids` through `f` in batches of `opts.batch_size`, fanning batches
-/// across `opts.threads` scoped workers, and returns the concatenated
-/// results **in input order** regardless of scheduling.
+/// across `opts.threads` workers, and returns the concatenated results
+/// **in input order** regardless of scheduling.
 ///
 /// `f` must return exactly one output per input (asserted), which is what
 /// keeps budget accounting exact when `f` charges an oracle per record.
@@ -112,41 +175,139 @@ where
     T: Send,
     F: Fn(&[usize]) -> Vec<T> + Sync,
 {
-    let batch = opts.batch_size.max(1);
-    let chunks: Vec<&[usize]> = ids.chunks(batch).collect();
-    let workers = opts.workers(chunks.len());
-
-    let out = if workers <= 1 {
-        let mut out = Vec::with_capacity(ids.len());
-        for chunk in chunks {
-            out.extend(f(chunk));
-        }
-        out
-    } else {
-        // Work queue over batch indices: claim order is scheduling-dependent
-        // but each batch's output lands in its own slot, so reassembly is
-        // deterministic.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Vec<T>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= chunks.len() {
-                        break;
-                    }
-                    let labeled = f(chunks[j]);
-                    *slots[j].lock().expect("no panics while holding a batch slot") = labeled;
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(ids.len());
-        for slot in slots {
-            out.extend(slot.into_inner().expect("worker panics propagate via scope"));
-        }
-        out
-    };
+    let chunks: Vec<&[usize]> = ids.chunks(opts.batch_size.max(1)).collect();
+    let mut out = Vec::with_capacity(ids.len());
+    for part in claim_each(chunks.len(), opts.threads, |j| f(chunks[j])) {
+        out.extend(part);
+    }
     assert_eq!(out.len(), ids.len(), "batch labeler must return one output per input");
+    out
+}
+
+/// Replicates per block of a split bootstrap run: a multiple of every lane
+/// count of the bootstrap kernel (8, 4, 2, 1), so a block's lanes group
+/// its replicates exactly as one unsplit run would.
+const REPLICATE_BLOCK: usize = 64;
+
+/// The work floor, in resampled draws (`trials × draws`), below which a
+/// replicate run stays on the calling thread: spawning a helper and
+/// jumping to the block starts would cost more than about a tenth of the
+/// kernel's time.
+const SPLIT_FLOOR_DRAWS: u64 = 1 << 17;
+
+/// Which threads run a bootstrap's replicates (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplicateThreads {
+    /// The calling thread alone: a blocking statement's bootstrap.
+    Calling,
+    /// The calling thread plus helpers on the cores no other replicate run
+    /// holds: the snapshot and final bootstraps of a progressive run.
+    FreeCores,
+}
+
+/// A bootstrap replicate kernel: any number of replicates from any RNG.
+pub(crate) trait Replicates: Sync {
+    /// Statistics each replicate estimates.
+    fn statistics(&self) -> usize;
+
+    /// Runs `reps` replicates on `rng`, reading exactly the `draws` words
+    /// per replicate passed to [`replicates`] (one integer `gen_range` per
+    /// resampled draw), and returns each statistic's estimates in
+    /// replicate order.
+    fn run<G: Rng + ?Sized>(&self, reps: usize, rng: &mut G) -> Vec<Vec<f64>>;
+}
+
+/// The cores this process may run on, read once per process;
+/// `available_parallelism()` follows `taskset` and cgroup limits.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Workers of the split replicate runs in progress, process-wide. A run
+/// takes only the cores no other run holds, so concurrent statements
+/// (two connections bootstrapping at once) do not oversubscribe the
+/// cores with helpers. Relaxed: the count publishes no data, and the
+/// worker count never changes a result.
+static REPLICATING: AtomicUsize = AtomicUsize::new(0);
+
+/// A split run's hold on `REPLICATING`, released on drop, unwinding
+/// included.
+struct Held(usize);
+
+impl Held {
+    /// Holds the cores no other run holds, at least the calling thread's
+    /// and at most `blocks`.
+    fn take(blocks: usize) -> Self {
+        let mut workers = 1;
+        let _ = REPLICATING.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            workers = cores().saturating_sub(busy).clamp(1, blocks.max(1));
+            Some(busy + workers)
+        });
+        Held(workers)
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        REPLICATING.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Runs `trials` replicates of `kernel`, each reading `draws` words of
+/// `rng`'s stream, and returns every statistic's estimates in replicate
+/// order. [`ReplicateThreads::FreeCores`] runs of at least
+/// `SPLIT_FLOOR_DRAWS` resampled draws use the cores of
+/// `available_parallelism()` that no other run holds; other runs, and
+/// generators that cannot jump ([`rand::RngCore::jumpable`]), stay on the
+/// calling thread. Either way the estimates and the caller's stream
+/// afterwards are the bits of one unsplit run.
+pub(crate) fn replicates<K: Replicates, R: Rng + ?Sized>(
+    kernel: &K,
+    trials: usize,
+    draws: usize,
+    threads: ReplicateThreads,
+    rng: &mut R,
+) -> Vec<Vec<f64>> {
+    let resampled = (trials as u64).saturating_mul(draws as u64);
+    if threads == ReplicateThreads::Calling || resampled < SPLIT_FLOOR_DRAWS {
+        return replicates_on(1, kernel, trials, draws, rng);
+    }
+    let held = Held::take(trials.div_ceil(REPLICATE_BLOCK));
+    replicates_on(held.0, kernel, trials, draws, rng)
+}
+
+/// [`replicates`] on a given worker count (tests force 1, 2 and 4). Block
+/// `j` holds replicates `64j..` and starts `64j · draws` words into the
+/// caller's stream; afterwards the stream is advanced by exactly
+/// `trials · draws` words. One worker runs every replicate in one kernel
+/// call on the caller's generator itself.
+pub(crate) fn replicates_on<K: Replicates, R: Rng + ?Sized>(
+    workers: usize,
+    kernel: &K,
+    trials: usize,
+    draws: usize,
+    rng: &mut R,
+) -> Vec<Vec<f64>> {
+    let blocks = trials.div_ceil(REPLICATE_BLOCK);
+    let reps = |j: usize| REPLICATE_BLOCK.min(trials - j * REPLICATE_BLOCK);
+    let parts: Vec<Vec<Vec<f64>>> = match rng.jumpable() {
+        Some(base) if workers.min(blocks) > 1 => {
+            let block_words = (REPLICATE_BLOCK as u64).saturating_mul(draws as u64);
+            let starts: Vec<StdRng> = base.strided(block_words).take(blocks).collect();
+            let parts =
+                claim_each(blocks, workers, |j| kernel.run(reps(j), &mut starts[j].clone()));
+            base.jump((trials as u64).saturating_mul(draws as u64));
+            parts
+        }
+        _ => return kernel.run(trials, rng),
+    };
+    let mut out = vec![Vec::with_capacity(trials); kernel.statistics()];
+    for part in parts {
+        for (estimates, block) in out.iter_mut().zip(part) {
+            estimates.extend(block);
+        }
+    }
     out
 }
 

@@ -20,10 +20,10 @@
 //! derived from the budget spent, so the final snapshot is bit-identical
 //! to a blocking run at any thread count and any chunk size.
 
-use crate::bootstrap::stratified_bootstrap_cis;
+use crate::bootstrap::{bootstrap_cis_on, stratified_bootstrap_cis};
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
 use crate::estimator::{combine_estimate, StratumEstimate};
-use crate::pipeline;
+use crate::pipeline::{self, ReplicateThreads};
 use crate::strata::Stratification;
 use crate::stratum_stats::StratumStats;
 use abae_data::{Labeled, Oracle};
@@ -492,7 +492,14 @@ fn snapshot_from_stats(
         .map(|(s, draws)| StratumEstimate::from_draws(s.size(), draws))
         .collect();
     let mut fork = snapshot_rng(budget_spent);
-    let cis = stratified_bootstrap_cis(&samples, sizes, aggs, &config.bootstrap, &mut fork);
+    let cis = bootstrap_cis_on(
+        ReplicateThreads::FreeCores,
+        &samples,
+        sizes,
+        aggs,
+        &config.bootstrap,
+        &mut fork,
+    );
     let answers = aggs
         .iter()
         .zip(cis)
@@ -580,8 +587,12 @@ pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
             // The stopping rule only applies once the pilot stage is
             // complete: partial-pilot CIs can degenerate to zero width
             // (e.g. an all-negative first stratum) and would stop bogusly.
+            // For the same reason it never stops while the merged strata
+            // hold no positive: every replicate is then 0, and the CI is a
+            // degenerate [0, 0] at any spend.
+            let positives = stats.iter().any(|s| s.positives() > 0);
             let stop = match (target, snap.answers.first().and_then(|a| a.ci)) {
-                (Some(w), Some(ci)) => pilot_complete && ci.width() < w,
+                (Some(w), Some(ci)) => pilot_complete && positives && ci.width() < w,
                 _ => false,
             };
             snap.done = stop;
@@ -608,7 +619,14 @@ pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
         .enumerate()
         .map(|(s, draws)| StratumEstimate::from_draws(sizes[s], draws))
         .collect();
-    let cis = stratified_bootstrap_cis(&run.samples, &sizes, aggs, &config.bootstrap, rng);
+    let cis = bootstrap_cis_on(
+        ReplicateThreads::FreeCores,
+        &run.samples,
+        &sizes,
+        aggs,
+        &config.bootstrap,
+        rng,
+    );
     let answers: Vec<AggAnswer> = aggs
         .iter()
         .zip(cis)

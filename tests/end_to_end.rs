@@ -114,3 +114,22 @@ fn count_and_sum_aggregates_match_ground_truth_scale() {
         sum.estimate()
     );
 }
+
+/// Regression: `UNTIL` over a predicate no record satisfies stopped right
+/// after the pilot, at 1,000 calls, on the degenerate CI `[0, 0]`. The
+/// stopping rule must not fire while no positive has been drawn, so the
+/// run spends its whole cap.
+#[test]
+fn until_never_stops_on_zero_positives() {
+    let emails = trec05p(&EmulatorOptions { scale: 1.0, seed: 42 });
+    let engine = Engine::builder().table(emails).seed(7).build();
+    let r = engine
+        .session()
+        .execute(
+            "SELECT SUM(links) FROM trec05p WHERE is_spam AND NOT is_spam \
+             UNTIL CI WIDTH < 0.1 MAX ORACLE LIMIT 2000",
+        )
+        .expect("query executes");
+    assert_eq!(r.oracle_calls, 2000, "a zero-positive run must spend its cap");
+    assert_eq!(r.estimate(), 0.0);
+}
