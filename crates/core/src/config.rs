@@ -55,6 +55,19 @@ impl Default for BootstrapConfig {
     }
 }
 
+impl BootstrapConfig {
+    /// Checks that `alpha` lies strictly inside `(0, 1)`.
+    ///
+    /// # Errors
+    /// [`ConfigError::BadAlpha`] otherwise.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.alpha > 0.0 && self.alpha < 1.0) {
+            return Err(ConfigError::BadAlpha(self.alpha));
+        }
+        Ok(())
+    }
+}
+
 /// Configuration of one ABae query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbaeConfig {
@@ -154,10 +167,7 @@ impl AbaeConfig {
                 strata: self.strata,
             });
         }
-        if !(self.bootstrap.alpha > 0.0 && self.bootstrap.alpha < 1.0) {
-            return Err(ConfigError::BadAlpha(self.bootstrap.alpha));
-        }
-        Ok(())
+        self.bootstrap.validate()
     }
 
     /// The paper's recommendation: `K` maximal such that every stratum gets

@@ -35,6 +35,7 @@ use abae_sampling::wor::sample_without_replacement;
 use abae_stats::StreamingMoments;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How the Stage-2 budget is split across groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +75,16 @@ impl Default for GroupByConfig {
 }
 
 impl GroupByConfig {
-    fn validate(&self, groups: usize) -> Result<(), GroupByError> {
+    /// Checks the configuration for a query over `groups` groups: at least
+    /// one group, a positive strata count and budget, and a Stage-1
+    /// fraction strictly inside `(0, 1)`, in that order. Every entry point
+    /// runs it before it stratifies, so a caller that stratifies first (as
+    /// the query engine's strata cache does) can run it itself and fail
+    /// with the same error without sorting anything.
+    ///
+    /// # Errors
+    /// The first check that fails.
+    pub fn validate(&self, groups: usize) -> Result<(), GroupByError> {
         if groups == 0 {
             return Err(GroupByError::NoGroups);
         }
@@ -319,8 +329,46 @@ struct SingleOracleRun {
     buckets: Vec<Vec<Vec<usize>>>,
     /// Every sampled id's group label (one oracle charge per distinct id).
     cache: BTreeMap<usize, GroupLabel>,
-    /// Per-group stratifications, in group order.
-    stratifications: Vec<Stratification>,
+    /// Per-group stratifications, in group order, shared with the caller.
+    stratifications: Vec<Arc<Stratification>>,
+}
+
+/// The checks a single-oracle entry point runs before the group checks,
+/// in order: the bootstrap `alpha`, then (for an anytime run) the CI width
+/// target.
+fn check_ci(
+    bootstrap: &BootstrapConfig,
+    progressive: Option<&ProgressiveOptions>,
+) -> Result<(), GroupByError> {
+    bootstrap.validate().map_err(GroupByError::Config)?;
+    progressive.map_or(Ok(()), ProgressiveOptions::validate).map_err(GroupByError::Config)
+}
+
+/// The group checks of a single-oracle run over `groups` stratifications:
+/// the configuration, then the oracle's group count.
+fn check_groups<O: GroupOracle + ?Sized>(
+    groups: usize,
+    oracle: &O,
+    cfg: &GroupByConfig,
+) -> Result<(), GroupByError> {
+    cfg.validate(groups)?;
+    if oracle.group_count() != groups {
+        return Err(GroupByError::GroupMismatch { proxies: groups, oracles: oracle.group_count() });
+    }
+    Ok(())
+}
+
+/// Runs the group checks, then stratifies every group's proxy into
+/// `cfg.strata` quantile strata (`ABaeInit`), in group order: what the
+/// proxy-taking entry points do before they delegate to their
+/// `*_stratified` counterparts.
+fn stratify_groups<O: GroupOracle + ?Sized>(
+    proxies: &[&[f64]],
+    oracle: &O,
+    cfg: &GroupByConfig,
+) -> Result<Vec<Arc<Stratification>>, GroupByError> {
+    check_groups(proxies.len(), oracle, cfg)?;
+    Ok(proxies.iter().map(|p| Arc::new(Stratification::by_proxy_quantile(p, cfg.strata))).collect())
 }
 
 /// ABae-GroupBy in the single-oracle setting.
@@ -333,7 +381,8 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     cfg: &GroupByConfig,
     rng: &mut R,
 ) -> Result<Vec<GroupEstimate>, GroupByError> {
-    let run = single_oracle_sample(proxies, oracle, cfg, rng)?;
+    let stratifications = stratify_groups(proxies, oracle, cfg)?;
+    let run = single_oracle_sample(&stratifications, oracle, cfg, rng)?;
     let estimates = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
     Ok(estimates
         .into_iter()
@@ -355,17 +404,42 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 /// when strata are large relative to the overlap and is reported as a
 /// percentile interval of the *actual* estimator, so it always tracks the
 /// point estimate.
+///
+/// This checks `bootstrap` and `cfg`, stratifies every group's proxy
+/// (`ABaeInit`) and runs [`groupby_single_oracle_with_ci_stratified`].
 pub fn groupby_single_oracle_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     proxies: &[&[f64]],
     oracle: &O,
     cfg: &GroupByConfig,
-    bootstrap: &crate::config::BootstrapConfig,
+    bootstrap: &BootstrapConfig,
     rng: &mut R,
 ) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
-    if !(bootstrap.alpha > 0.0 && bootstrap.alpha < 1.0) {
-        return Err(GroupByError::Config(ConfigError::BadAlpha(bootstrap.alpha)));
-    }
-    let run = single_oracle_sample(proxies, oracle, cfg, rng)?;
+    check_ci(bootstrap, None)?;
+    let stratifications = stratify_groups(proxies, oracle, cfg)?;
+    groupby_single_oracle_with_ci_stratified(&stratifications, oracle, cfg, bootstrap, rng)
+}
+
+/// [`groupby_single_oracle_with_ci`] on per-group stratifications the
+/// caller already built, in group order, so one `ABaeInit` sort per group
+/// can serve any number of runs. A stratification depends only on the
+/// scores and `K`, so passing stored ones gives the same answer, bit for
+/// bit, as passing the proxies.
+///
+/// # Errors
+/// The same errors, in the same order, as [`groupby_single_oracle_with_ci`].
+///
+/// # Panics
+/// Panics unless every stratification has `cfg.strata` strata over one
+/// record count.
+pub fn groupby_single_oracle_with_ci_stratified<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
+    stratifications: &[Arc<Stratification>],
+    oracle: &O,
+    cfg: &GroupByConfig,
+    bootstrap: &BootstrapConfig,
+    rng: &mut R,
+) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
+    check_ci(bootstrap, None)?;
+    let run = single_oracle_sample(stratifications, oracle, cfg, rng)?;
     Ok(single_oracle_bootstrap_cis(&run, bootstrap, rng))
 }
 
@@ -420,8 +494,7 @@ struct GroupReplicates {
 
 impl GroupReplicates {
     fn new(run: &SingleOracleRun) -> Self {
-        let sizes: Vec<Vec<usize>> =
-            run.stratifications.iter().map(Stratification::sizes).collect();
+        let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(|s| s.sizes()).collect();
         let labels: Vec<Vec<Vec<GroupLabel>>> = run
             .buckets
             .iter()
@@ -522,6 +595,10 @@ pub struct GroupByProgressiveResult {
 ///   **every** group's snapshot CI is narrower than the target, charging
 ///   only the budget actually consumed.
 ///
+/// This checks `bootstrap`, `progressive` and `cfg`, stratifies every
+/// group's proxy (`ABaeInit`) and runs
+/// [`groupby_single_oracle_progressive_stratified`].
+///
 /// # Errors
 /// Configuration errors as the blocking variant, plus
 /// [`ConfigError::BadTargetWidth`] when the target is not a positive
@@ -533,16 +610,47 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
     bootstrap: &BootstrapConfig,
     progressive: &ProgressiveOptions,
     rng: &mut R,
+    on_snapshot: impl FnMut(&GroupSnapshot),
+) -> Result<GroupByProgressiveResult, GroupByError> {
+    check_ci(bootstrap, Some(progressive))?;
+    let stratifications = stratify_groups(proxies, oracle, cfg)?;
+    groupby_single_oracle_progressive_stratified(
+        &stratifications,
+        oracle,
+        cfg,
+        bootstrap,
+        progressive,
+        rng,
+        on_snapshot,
+    )
+}
+
+/// [`groupby_single_oracle_progressive`] on per-group stratifications the
+/// caller already built, in group order — the anytime counterpart of
+/// [`groupby_single_oracle_with_ci_stratified`], with the same
+/// bit-identity: stored stratifications of the same proxies and `K` give
+/// the same snapshots and answer as passing the proxies.
+///
+/// # Errors
+/// The same errors, in the same order, as
+/// [`groupby_single_oracle_progressive`].
+///
+/// # Panics
+/// Panics unless every stratification has `cfg.strata` strata over one
+/// record count.
+pub fn groupby_single_oracle_progressive_stratified<
+    O: GroupOracle + ?Sized,
+    R: Rng + ?Sized,
+>(
+    stratifications: &[Arc<Stratification>],
+    oracle: &O,
+    cfg: &GroupByConfig,
+    bootstrap: &BootstrapConfig,
+    progressive: &ProgressiveOptions,
+    rng: &mut R,
     mut on_snapshot: impl FnMut(&GroupSnapshot),
 ) -> Result<GroupByProgressiveResult, GroupByError> {
-    if !(bootstrap.alpha > 0.0 && bootstrap.alpha < 1.0) {
-        return Err(GroupByError::Config(ConfigError::BadAlpha(bootstrap.alpha)));
-    }
-    if let Some(w) = progressive.target_ci_width {
-        if !(w.is_finite() && w > 0.0) {
-            return Err(GroupByError::Config(ConfigError::BadTargetWidth(w)));
-        }
-    }
+    check_ci(bootstrap, Some(progressive))?;
     let chunk = progressive.chunk.unwrap_or(cfg.exec.batch_size).max(1);
     let target = progressive.target_ci_width;
 
@@ -570,7 +678,7 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
             }
             stop
         };
-        single_oracle_chunked(proxies, oracle, cfg, chunk, rng, &mut observe)?
+        single_oracle_chunked(stratifications, oracle, cfg, chunk, rng, &mut observe)?
     };
 
     if chunked.stopped {
@@ -596,12 +704,13 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
 /// one-chunk instance of [`single_oracle_chunked`] with an observer that
 /// never stops.
 fn single_oracle_sample<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    proxies: &[&[f64]],
+    stratifications: &[Arc<Stratification>],
     oracle: &O,
     cfg: &GroupByConfig,
     rng: &mut R,
 ) -> Result<SingleOracleRun, GroupByError> {
-    Ok(single_oracle_chunked(proxies, oracle, cfg, usize::MAX, rng, &mut |_, _, _| false)?.run)
+    Ok(single_oracle_chunked(stratifications, oracle, cfg, usize::MAX, rng, &mut |_, _, _| false)?
+        .run)
 }
 
 /// Outcome of the chunked single-oracle sampling core.
@@ -626,23 +735,22 @@ struct ChunkedSingleOracle {
 /// blocking loop, and a completed run's buckets, cache, and oracle charges
 /// are bit-identical to the one-chunk instance.
 fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    proxies: &[&[f64]],
+    stratifications: &[Arc<Stratification>],
     oracle: &O,
     cfg: &GroupByConfig,
     chunk: usize,
     rng: &mut R,
     observe: &mut dyn FnMut(&SingleOracleRun, u64, bool) -> bool,
 ) -> Result<ChunkedSingleOracle, GroupByError> {
-    let g = proxies.len();
-    cfg.validate(g)?;
-    if oracle.group_count() != g {
-        return Err(GroupByError::GroupMismatch { proxies: g, oracles: oracle.group_count() });
-    }
-    let n = proxies[0].len();
+    let g = stratifications.len();
+    check_groups(g, oracle, cfg)?;
+    let n = stratifications[0].total();
     let k = cfg.strata;
+    assert!(
+        stratifications.iter().all(|s| s.len() == k && s.total() == n),
+        "every group's stratification must have {k} strata over {n} records"
+    );
 
-    let stratifications: Vec<Stratification> =
-        proxies.iter().map(|p| Stratification::by_proxy_quantile(p, k)).collect();
     let stratum_of: Vec<Vec<u32>> = stratifications
         .iter()
         .map(|s| {
@@ -663,7 +771,7 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     let mut run = SingleOracleRun {
         buckets: vec![vec![Vec::new(); k]; g],
         cache: BTreeMap::new(),
-        stratifications,
+        stratifications: stratifications.to_vec(),
     };
     let mut stopped = false;
 
@@ -764,9 +872,9 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 fn single_oracle_estimates(
     buckets: &[Vec<Vec<usize>>],
     cache: &BTreeMap<usize, GroupLabel>,
-    stratifications: &[Stratification],
+    stratifications: &[Arc<Stratification>],
 ) -> Vec<f64> {
-    let sizes: Vec<Vec<usize>> = stratifications.iter().map(Stratification::sizes).collect();
+    let sizes: Vec<Vec<usize>> = stratifications.iter().map(|s| s.sizes()).collect();
     let strata = buckets.first().map(Vec::len).unwrap_or(0);
     estimates_from_cells(&bucket_cells(buckets, cache, strata), &sizes)
 }
@@ -1468,6 +1576,65 @@ mod ci_tests {
     }
 
     #[test]
+    fn stratified_entries_answer_like_the_proxy_entries() {
+        use rand::RngCore as _;
+        let t = two_group_table(8_000, 9);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 600, ..Default::default() };
+        let bs = BootstrapConfig { trials: 20, alpha: 0.05 };
+        let strata: Vec<Arc<Stratification>> = proxies
+            .iter()
+            .map(|p| Arc::new(Stratification::by_proxy_quantile(p, cfg.strata)))
+            .collect();
+
+        let (mut ours, mut theirs) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let want = groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bs, &mut theirs);
+        let got = groupby_single_oracle_with_ci_stratified(&strata, &oracle, &cfg, &bs, &mut ours);
+        assert_eq!(got.unwrap(), want.unwrap());
+        assert_eq!(ours.next_u64(), theirs.next_u64());
+
+        for target in [None, Some(40.0)] {
+            let p = ProgressiveOptions { chunk: Some(50), target_ci_width: target };
+            let (mut ours, mut theirs) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
+            let (mut got_snaps, mut want_snaps) = (Vec::new(), Vec::new());
+            let want = groupby_single_oracle_progressive(
+                &proxies,
+                &oracle,
+                &cfg,
+                &bs,
+                &p,
+                &mut theirs,
+                |s| want_snaps.push(s.clone()),
+            );
+            let got = groupby_single_oracle_progressive_stratified(
+                &strata,
+                &oracle,
+                &cfg,
+                &bs,
+                &p,
+                &mut ours,
+                |s| got_snaps.push(s.clone()),
+            );
+            assert_eq!(got.unwrap(), want.unwrap(), "{target:?}");
+            assert_eq!(got_snaps, want_snaps, "{target:?}");
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "{target:?}");
+        }
+
+        // The same checks in the same order: a bad alpha wins over a bad
+        // config, and a zero `K` fails before the strata are read.
+        let mut rng = StdRng::seed_from_u64(5);
+        let zero_k = GroupByConfig { strata: 0, ..cfg };
+        let bad_alpha = BootstrapConfig { alpha: 1.0, ..bs };
+        let err = groupby_single_oracle_with_ci_stratified(
+            &strata, &oracle, &zero_k, &bad_alpha, &mut rng,
+        );
+        assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::BadAlpha(1.0)));
+        let err = groupby_single_oracle_with_ci_stratified(&strata, &oracle, &zero_k, &bs, &mut rng);
+        assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::ZeroStrata));
+    }
+
+    #[test]
     fn with_ci_point_estimates_match_plain_variant() {
         let t = two_group_table(20_000, 3);
         let o0 = PredicateOracle::new(&t, "g0").unwrap();
@@ -1516,7 +1683,7 @@ mod ci_tests {
     fn reference_estimates(
         buckets: &[Vec<Vec<usize>>],
         cache: &BTreeMap<usize, GroupLabel>,
-        stratifications: &[Stratification],
+        stratifications: &[Arc<Stratification>],
     ) -> Vec<f64> {
         let g = stratifications.len();
         let k = buckets.first().map(Vec::len).unwrap_or(0);
@@ -1628,10 +1795,10 @@ mod ci_tests {
     fn random_run(gen: &mut StdRng, groups: usize, strata: usize) -> SingleOracleRun {
         use rand::Rng as _;
         let n = gen.gen_range(strata..200);
-        let stratifications: Vec<Stratification> = (0..groups)
+        let stratifications: Vec<Arc<Stratification>> = (0..groups)
             .map(|_| {
                 let scores: Vec<f64> = (0..n).map(|_| gen.gen()).collect();
-                Stratification::by_proxy_quantile(&scores, strata)
+                Arc::new(Stratification::by_proxy_quantile(&scores, strata))
             })
             .collect();
         let buckets: Vec<Vec<Vec<usize>>> = stratifications
@@ -1726,8 +1893,9 @@ mod ci_tests {
         let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
         for budget in [60, 1500] {
             let cfg = GroupByConfig { budget, ..Default::default() };
+            let strata = stratify_groups(&proxies, &oracle, &cfg).unwrap();
             let run =
-                single_oracle_sample(&proxies, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
+                single_oracle_sample(&strata, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
                     .unwrap();
             let kernel = GroupReplicates::new(&run);
             let draws = kernel.draws;
@@ -1765,8 +1933,9 @@ mod ci_tests {
         let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
         let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
         let cfg = GroupByConfig { budget: 3000, ..Default::default() };
-        let run = single_oracle_sample(&proxies, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
-            .unwrap();
+        let strata = stratify_groups(&proxies, &oracle, &cfg).unwrap();
+        let run =
+            single_oracle_sample(&strata, &oracle, &cfg, &mut StdRng::seed_from_u64(8)).unwrap();
         let bootstrap = BootstrapConfig { trials: 64, alpha: 0.05 };
         let mut ours = StdRng::seed_from_u64(10);
         let mut theirs = ours.clone();

@@ -69,23 +69,29 @@ pub enum BoolExpr {
 impl BoolExpr {
     /// Collects the distinct atom keys, left to right.
     pub fn atom_keys(&self) -> Vec<String> {
-        let mut keys = Vec::new();
-        self.collect_keys(&mut keys);
-        keys
+        self.atoms().iter().map(|a| a.key()).collect()
     }
 
-    fn collect_keys(&self, out: &mut Vec<String>) {
+    /// The first atom of every distinct key, left to right: aligned with
+    /// [`BoolExpr::atom_keys`].
+    pub fn atoms(&self) -> Vec<&PredAtom> {
+        let mut atoms = Vec::new();
+        self.collect_atoms(&mut atoms);
+        atoms
+    }
+
+    fn collect_atoms<'a>(&'a self, out: &mut Vec<&'a PredAtom>) {
         match self {
             BoolExpr::Atom(a) => {
                 let key = a.key();
-                if !out.contains(&key) {
-                    out.push(key);
+                if !out.iter().any(|seen| seen.key() == key) {
+                    out.push(a);
                 }
             }
-            BoolExpr::Not(e) => e.collect_keys(out),
+            BoolExpr::Not(e) => e.collect_atoms(out),
             BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                a.collect_keys(out);
-                b.collect_keys(out);
+                a.collect_atoms(out);
+                b.collect_atoms(out);
             }
         }
     }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// cross-query [`LabelStore`] so repeated queries reuse oracle verdicts,
 /// and always carrying a [`ProxyRegistry`] of in-engine-trained proxy
 /// artifacts (`CREATE PROXY`) and a [`StrataCache`] of the stratifications
-/// built over proxy columns and trained models.
+/// statements sort by.
 ///
 /// Shared-ownership contract: a catalog is `Send + Sync` (tables and
 /// bindings are plain immutable data; the label store, proxy registry and
@@ -127,11 +127,21 @@ impl Catalog {
         &self.proxies
     }
 
-    /// The stratification cache scalar statements share: one
-    /// stratification per (table, proxy column or trained model, `K`).
-    /// Internally synchronized, always on.
+    /// The stratification cache every statement shares: one
+    /// stratification per (table, score source, `K`), where a score source
+    /// is a proxy column (also a bare atom's and a `GROUP BY` group's), a
+    /// trained model or a §3.3 combination of several atoms. Combination
+    /// entries are bounded by [`StrataCache::COMBINED_RECORDS_BOUND`] and
+    /// evicted least recently used first. Internally synchronized, always
+    /// on.
     pub fn strata_cache(&self) -> &StrataCache {
         &self.strata
+    }
+
+    /// Swaps in `strata`, e.g. a cache with a bound small enough to reach.
+    #[cfg(test)]
+    pub(crate) fn set_strata_cache(&mut self, strata: StrataCache) {
+        self.strata = strata;
     }
 }
 
@@ -240,10 +250,8 @@ mod tests {
 
     #[test]
     fn re_registering_drops_cached_strata_of_that_table_only() {
-        use crate::plan::ScoreSource;
-        let column = |cat: &Catalog, tbl: &str| ScoreSource::Column {
-            name: "is_spam".to_string(),
-            scores: cat.table(tbl).unwrap().predicate("is_spam").unwrap().proxy_column().clone(),
+        let strata = |cat: &Catalog, tbl: &str| {
+            cat.strata_cache().column_strata(cat.table(tbl).unwrap(), 0, 2)
         };
         let mut cat = Catalog::new();
         cat.register_table(table());
@@ -253,8 +261,8 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let old = cat.strata_cache().strata("t", &column(&cat, "t"), 2);
-        cat.strata_cache().strata("u", &column(&cat, "u"), 2);
+        let old = strata(&cat, "t");
+        strata(&cat, "u");
         assert_eq!(cat.strata_cache().cached_records(), 2 + 3);
         assert_eq!(cat.strata_cache().builds(), 2);
 
@@ -266,11 +274,11 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(cat.strata_cache().cached_records(), 3, "only `u` keeps its entry");
-        let fresh = cat.strata_cache().strata("t", &column(&cat, "t"), 2);
+        let fresh = strata(&cat, "t");
         assert_eq!(cat.strata_cache().builds(), 3, "the new data is sorted again");
         assert_eq!(fresh.strata(), &[vec![3, 2], vec![1, 0]]);
         assert_ne!(*fresh, *old);
-        cat.strata_cache().strata("u", &column(&cat, "u"), 2);
+        strata(&cat, "u");
         assert_eq!(cat.strata_cache().hits(), 1, "other tables keep their strata");
     }
 }

@@ -126,8 +126,12 @@ pub struct EngineStats {
     /// Stratifications the catalog's strata cache built on a miss (two
     /// sessions missing one key at once both count).
     pub strata_builds: u64,
-    /// Scalar runs that reused a cached stratification instead of sorting.
+    /// Strata-cache lookups answered by a cached stratification instead of
+    /// a sort: one per scalar run and one per group of a `GROUP BY` run.
     pub strata_hits: u64,
+    /// §3.3 combination entries the strata cache evicted, least recently
+    /// used first, to stay within its bound.
+    pub strata_evictions: u64,
     /// Record indices the strata cache holds — its memory gauge, 8 bytes
     /// each.
     pub strata_cached_records: u64,
@@ -223,6 +227,7 @@ impl Engine {
             label_misses,
             strata_builds: strata.builds(),
             strata_hits: strata.hits(),
+            strata_evictions: strata.evictions(),
             strata_cached_records: strata.cached_records(),
             per_session_spend: self.inner.batcher.per_session_spend(),
         }

@@ -68,10 +68,12 @@
 //!   binding `?` placeholders (`ORACLE LIMIT ?`, `WITH PROBABILITY ?`,
 //!   `UNTIL CI WIDTH < ?`) through [`Prepared::with_budget`] /
 //!   [`Prepared::with_probability`] / [`Prepared::with_ci_width`].
-//! * Statements stratifying on a proxy column or a trained model share one
-//!   cached stratification per score vector ([`Catalog::strata_cache`]),
-//!   so a re-run does not re-sort the table; answers are bit-identical
-//!   either way.
+//! * Every statement fetches its stratification from one cache per
+//!   catalog ([`Catalog::strata_cache`]), keyed by (table, score source,
+//!   `K`): a proxy column (named by `USING`, by a bare atom, or as a
+//!   `GROUP BY` group's), a trained model, or a §3.3 combination, whose
+//!   entries are bounded and evicted least recently used first. A warm
+//!   statement sorts nothing; answers are bit-identical either way.
 //!
 //! # Anytime queries
 //!

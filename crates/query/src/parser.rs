@@ -908,7 +908,32 @@ mod tests {
 #[cfg(test)]
 mod robustness {
     use super::{parse_query, parse_statement};
+    use crate::catalog::Catalog;
+    use crate::engine::EngineOptions;
+    use crate::plan::{explain_plan, plan_query, Bindings, ExecCtx};
+    use abae_data::Table;
     use proptest::prelude::*;
+
+    /// What fragment soup can name: table `t` with predicate columns `p`
+    /// and `q`, a group key with groups `a` and `b`, and the atoms
+    /// `g(x) = 'a'` and `g(x) = 'b'` bound to `p` and `q`.
+    fn catalog() -> Catalog {
+        let n = 12;
+        let key: Vec<Option<u16>> = (0..n).map(|i| [Some(0), Some(1), None][i % 3]).collect();
+        let labels = |g: u16| key.iter().map(|&k| k == Some(g)).collect::<Vec<bool>>();
+        let proxy = |salt: usize| (0..n).map(|i| ((i * 7 + salt) % n) as f64 / n as f64).collect();
+        let t = Table::builder("t", (0..n).map(|i| i as f64).collect())
+            .predicate("p", labels(0), proxy(0))
+            .predicate("q", labels(1), proxy(5))
+            .group_key(vec!["a".into(), "b".into()], key)
+            .build()
+            .unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register_table(t);
+        catalog.bind_predicate("t", "g=a", "p");
+        catalog.bind_predicate("t", "g=b", "q");
+        catalog
+    }
 
     proptest! {
         /// The parser must never panic — arbitrary input yields Ok or Err.
@@ -920,6 +945,10 @@ mod robustness {
 
         /// Near-miss inputs built from dialect fragments also must not
         /// panic (these reach deeper parser states than random bytes).
+        /// The fragments name a real table, its columns, its group key and
+        /// bound atoms, and every `SELECT` that parses also goes through
+        /// the planner and `EXPLAIN`, which must not panic either. Neither
+        /// spends oracle calls.
         #[test]
         fn parser_never_panics_on_fragment_soup(
             parts in proptest::collection::vec(
@@ -933,13 +962,69 @@ mod robustness {
                     Just("UNTIL"), Just("CI"), Just("WIDTH"), Just("MAX"), Just("<"),
                     Just("CREATE"), Just("PROXY"), Just("ON"), Just("CALIBRATED"),
                     Just("TRAIN"), Just("SHOW"), Just("PROXIES"),
+                    Just("t"), Just("p"), Just("q"), Just("g"), Just("'a'"), Just("'b'"),
+                    Just("COUNT(*)"), Just("SELECT AVG(x) FROM t WHERE"),
+                    Just("SELECT SUM(x), g FROM t WHERE"), Just("g(x) = 'a'"),
+                    Just("g(x) = 'b'"), Just("GROUP BY g(x)"), Just("ORACLE LIMIT 10"),
+                    Just("ORACLE LIMIT 0"), Just("UNTIL CI WIDTH < 0.5 MAX"),
                 ],
                 0..25,
             ),
         ) {
-            let input = parts.join(" ");
-            let _ = parse_query(&input);
-            let _ = parse_statement(&input);
+            plan_and_explain(&parts.join(" "));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        /// The same promise for statements assembled clause by clause, so
+        /// that many of them parse and reach the planner and `EXPLAIN`:
+        /// each clause is well formed, broken, or names something the
+        /// catalog lacks.
+        #[test]
+        fn planner_never_panics_on_clause_soup(
+            select in prop_oneof![
+                Just("SELECT AVG(x)"), Just("SELECT COUNT(*), SUM(x)"), Just("SELECT AVG(x), g"),
+                Just("SELECT PERCENTAGE(x), AVG(x)"), Just("SELECT SUM(x)"), Just("SELECT"),
+            ],
+            table in prop_oneof![Just("FROM t"), Just("FROM t"), Just("FROM t"), Just("FROM u")],
+            predicate in prop_oneof![
+                Just("p"), Just("q"), Just("NOT p"), Just("p AND q"), Just("p OR NOT q"),
+                Just("(p OR q) AND NOT p"), Just("g(x) = 'a' OR g(x) = 'b'"),
+                Just("g(x) = 'b' OR g(x) = 'a'"), Just("g(x) = 'a' OR g(x) = 'a'"),
+                Just("g(x) = 'a' OR p"), Just("g(x) = 'b' AND NOT g(x) = 'a'"),
+                Just("g(x) = 'a'"), Just("g(x) = 'c' OR g(x) = 'a'"), Just("r"), Just("p AND"),
+            ],
+            group in prop_oneof![Just(""), Just("GROUP BY g(x)"), Just("GROUP BY g(x)")],
+            until in prop_oneof![
+                Just(""), Just("UNTIL CI WIDTH < 0.5 MAX"), Just("UNTIL CI WIDTH < ? MAX"),
+            ],
+            limit in prop_oneof![
+                Just("ORACLE LIMIT 10"), Just("ORACLE LIMIT 0"), Just("ORACLE LIMIT ?"),
+                Just("ORACLE LIMIT 99999"),
+            ],
+            using in prop_oneof![Just(""), Just("USING p"), Just("USING q"), Just("USING nope")],
+            probability in prop_oneof![
+                Just(""), Just("WITH PROBABILITY 0.9"), Just("WITH PROBABILITY ?"),
+                Just("WITH PROBABILITY 7"),
+            ],
+        ) {
+            plan_and_explain(
+                &[select, table, "WHERE", predicate, group, until, limit, using, probability]
+                    .join(" "),
+            );
+        }
+    }
+
+    /// Parses `input`; when it is a `SELECT`, plans it against [`catalog`]
+    /// and, when that succeeds, renders its `EXPLAIN`.
+    fn plan_and_explain(input: &str) {
+        let _ = parse_statement(input);
+        let Ok(query) = parse_query(input) else { return };
+        let catalog = catalog();
+        if let Ok(plan) = plan_query(&catalog, &query) {
+            let opts = EngineOptions::default();
+            let _ = explain_plan(&catalog, &plan, &opts, &Bindings::default(), &ExecCtx::detached());
         }
     }
 }

@@ -23,8 +23,8 @@ use crate::exec::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot};
 use abae_core::batcher::{GovernedOracle, OracleBatcher};
 use abae_core::config::{AbaeConfig, Aggregate, BootstrapConfig};
 use abae_core::groupby::{
-    groupby_single_oracle_progressive, groupby_single_oracle_with_ci, single_oracle_pilot,
-    GroupByConfig, GroupSnapshot,
+    groupby_single_oracle_progressive_stratified, groupby_single_oracle_with_ci_stratified,
+    single_oracle_pilot, GroupByConfig, GroupByError, GroupSnapshot,
 };
 use abae_core::multipred::{expression_oracle, PredExpr};
 use abae_core::two_stage::{
@@ -85,8 +85,10 @@ fn governor_group_key(table: &str) -> String {
 /// precomputed columns, the §3.3 combination of several columns, and
 /// proxies trained *in-engine* (`CREATE PROXY`) whose full-table score
 /// vector was materialized in parallel batches through `core::pipeline`
-/// at training time. `EXPLAIN` renders [`ScoreSource::describe`], so the
-/// reported provenance always matches the scores execution stratifies by.
+/// at training time. Execution stratifies by it through the catalog's
+/// [`crate::StrataCache`], which scores a combination only on a miss.
+/// `EXPLAIN` renders [`ScoreSource::describe`], so the reported
+/// provenance always matches the scores execution stratifies by.
 #[derive(Debug, Clone)]
 pub enum ScoreSource {
     /// A precomputed proxy column of the table (`USING <column>`).
@@ -99,12 +101,14 @@ pub enum ScoreSource {
     },
     /// The §3.3 combination of the predicates' own columns (the default
     /// when `USING` is omitted; for a single bare atom the combination is
-    /// the identity).
+    /// the identity, which stratifies like `USING <column>`).
     Combined {
         /// The combined predicate columns, in atom order.
         columns: Vec<String>,
-        /// Combined scores, materialized at plan time.
-        scores: Vec<f64>,
+        /// The lowered predicate whose columns' scores the §3.3 rules
+        /// combine. Nothing is scored at plan time: the strata cache
+        /// scores the combination on a miss.
+        expr: PredExpr,
     },
     /// A catalog-registered trained model (`USING <model>`); the scores
     /// were computed over the whole table when `CREATE PROXY` ran.
@@ -115,15 +119,6 @@ pub enum ScoreSource {
 }
 
 impl ScoreSource {
-    /// The stratification scores, one per record.
-    pub fn scores(&self) -> &[f64] {
-        match self {
-            ScoreSource::Column { scores, .. } => scores.as_slice(),
-            ScoreSource::Combined { scores, .. } => scores,
-            ScoreSource::Model(proxy) => &proxy.scores,
-        }
-    }
-
     /// One-line provenance for `EXPLAIN`: column vs model, and for models
     /// the training spend and measured calibration error.
     pub fn describe(&self) -> String {
@@ -175,6 +170,9 @@ pub(crate) enum PlanKind {
     GroupBy {
         /// Group names, in the table's group order.
         groups: Vec<String>,
+        /// Each group's predicate column index, in group order: the column
+        /// of the atom whose `= '<name>'` literal names the group.
+        columns: Vec<usize>,
     },
 }
 
@@ -185,9 +183,7 @@ pub(crate) enum PlanKind {
 pub(crate) struct QueryPlan {
     /// The parsed query.
     pub query: Query,
-    /// Resolved predicate column indices, in atom order.
-    pub columns: Vec<usize>,
-    /// Resolved predicate column names, aligned with `columns`.
+    /// Resolved predicate column names, in atom order.
     pub column_names: Vec<String>,
     /// The chosen physical strategy.
     pub kind: PlanKind,
@@ -264,9 +260,10 @@ pub(crate) fn available_proxies(catalog: &Catalog, table: &Table) -> Vec<String>
 }
 
 /// Plans `query` against `catalog`: resolves every predicate atom to a
-/// column, picks the physical strategy, and materializes the
-/// stratification scores. Fails with the same errors execution would, so
-/// `prepare` and `EXPLAIN` surface problems before any budget is spent.
+/// column, picks the physical strategy and the stratification score
+/// source. Scores nothing: execution fetches the strata from the catalog's
+/// cache. Fails with the same errors execution would, so `prepare` and
+/// `EXPLAIN` surface problems before any budget is spent.
 pub(crate) fn plan_query(catalog: &Catalog, query: &Query) -> Result<QueryPlan, QueryError> {
     let table = catalog
         .table(&query.table)
@@ -306,7 +303,8 @@ pub(crate) fn plan_query(catalog: &Catalog, query: &Query) -> Result<QueryPlan, 
                 groups.len()
             )));
         }
-        PlanKind::GroupBy { groups }
+        let columns = group_columns(query, &groups, &columns)?;
+        PlanKind::GroupBy { groups, columns }
     } else {
         let expr = query.predicate.to_pred_expr(&index_of);
         // Stratification scores: the `USING` proxy when one is named — a
@@ -331,17 +329,47 @@ pub(crate) fn plan_query(catalog: &Catalog, query: &Query) -> Result<QueryPlan, 
                     }
                 },
             },
-            None => ScoreSource::Combined {
-                columns: column_names.clone(),
-                scores: abae_core::multipred::table_combined_scores(table, &expr)
-                    .map_err(QueryError::Table)?,
-            },
+            None => ScoreSource::Combined { columns: column_names.clone(), expr: expr.clone() },
         };
         let pred_key = predicate_key(&expr);
         PlanKind::Scalar { expr, source, pred_key }
     };
 
-    Ok(QueryPlan { query: query.clone(), columns, column_names, kind })
+    Ok(QueryPlan { query: query.clone(), column_names, kind })
+}
+
+/// Pairs every group with the atom whose `= '<name>'` literal names it and
+/// returns the atoms' columns (`columns`, in atom order) in group order, so
+/// a statement may name its groups in any order. An atom that names no
+/// group, or a group named twice, is [`QueryError::Unsupported`] listing
+/// the table's groups. The caller has checked that there are as many atoms
+/// as groups, so every group ends up with exactly one column.
+fn group_columns(
+    query: &Query,
+    groups: &[String],
+    columns: &[usize],
+) -> Result<Vec<usize>, QueryError> {
+    let unsupported = |what: String| {
+        QueryError::Unsupported(format!(
+            "{what} (table `{}` has groups {})",
+            query.table,
+            groups.iter().map(|g| format!("'{g}'")).collect::<Vec<_>>().join(", ")
+        ))
+    };
+    let mut by_group: Vec<Option<usize>> = vec![None; groups.len()];
+    for (atom, &column) in query.predicate.atoms().into_iter().zip(columns) {
+        let named = atom.comparison.as_deref().and_then(|c| c.strip_prefix('='));
+        let Some(g) = named.and_then(|name| groups.iter().position(|g| g == name)) else {
+            return Err(unsupported(format!("group-by atom `{}` names no group", atom.key())));
+        };
+        if by_group[g].replace(column).is_some() {
+            return Err(unsupported(format!(
+                "group-by query names group '{}' twice",
+                groups[g]
+            )));
+        }
+    }
+    Ok(by_group.into_iter().flatten().collect())
 }
 
 /// Executes a plan with the given knobs and bindings. The RNG is the only
@@ -433,7 +461,10 @@ fn run_plan_inner<R: Rng + ?Sized>(
             if let Some(p) = &progressive {
                 p.validate().map_err(QueryError::Config)?;
             }
-            let strata = catalog.strata_cache().strata(&query.table, source, config.strata);
+            let strata = catalog
+                .strata_cache()
+                .strata(table, source, pred_key, config.strata)
+                .map_err(QueryError::Table)?;
             // One labeling pass answers every aggregate of the SELECT list.
             let aggs: Vec<Aggregate> = query.aggs.iter().map(|a| a.func.to_core()).collect();
             let mut emit = |snap: &Snapshot| {
@@ -473,8 +504,19 @@ fn run_plan_inner<R: Rng + ?Sized>(
             let rows = agg_rows(query, &multi);
             Ok(QueryResult::new(rows, multi.oracle_calls, cache_hits, cache_misses, None))
         }
-        PlanKind::GroupBy { groups } => run_groupby(
-            plan, table, groups, budget, probability, width, opts, rng, ctx, observer,
+        PlanKind::GroupBy { groups, columns } => run_groupby(
+            catalog,
+            query,
+            table,
+            groups,
+            columns,
+            budget,
+            probability,
+            width,
+            opts,
+            rng,
+            ctx,
+            observer,
         ),
     }
 }
@@ -502,9 +544,11 @@ fn run_scalar<O: Oracle, R: Rng + ?Sized>(
 
 #[allow(clippy::too_many_arguments)]
 fn run_groupby<R: Rng + ?Sized>(
-    plan: &QueryPlan,
+    catalog: &Catalog,
+    query: &Query,
     table: &Table,
     groups: &[String],
+    columns: &[usize],
     budget: usize,
     probability: f64,
     width: Option<f64>,
@@ -513,15 +557,7 @@ fn run_groupby<R: Rng + ?Sized>(
     ctx: &ExecCtx<'_>,
     mut observer: Option<&mut dyn FnMut(&QuerySnapshot)>,
 ) -> Result<QueryResult, QueryError> {
-    let query = &plan.query;
     let agg = query.primary_agg().clone();
-    // Per-group proxies in group order: the atom resolved for position g
-    // must be the per-group predicate of group g.
-    let proxies: Vec<&[f64]> = plan
-        .columns
-        .iter()
-        .map(|&c| table.predicates()[c].proxy())
-        .collect();
     // Governed like the scalar path: each batch of group labels is
     // admitted before labeling; the instance is per-query, so its meter
     // charges only this session's records even when invocations are
@@ -545,6 +581,23 @@ fn run_groupby<R: Rng + ?Sized>(
         ..Default::default()
     };
     let bootstrap = BootstrapConfig { trials: opts.bootstrap_trials, alpha: 1.0 - probability };
+    // Without an `UNTIL` target or an observer this is the blocking path,
+    // byte for byte the pre-anytime executor.
+    let progressive = (width.is_some() || observer.is_some())
+        .then_some(ProgressiveOptions { chunk: None, target_ci_width: width });
+    // Validate before stratifying, in core's order — the bootstrap alpha,
+    // the `UNTIL` target, then the configuration — so an invalid statement
+    // fails with the same error and sorts nothing.
+    let config_error = |e| QueryError::GroupBy(GroupByError::Config(e));
+    bootstrap.validate().map_err(config_error)?;
+    progressive.as_ref().map_or(Ok(()), ProgressiveOptions::validate).map_err(config_error)?;
+    cfg.validate(groups.len()).map_err(QueryError::GroupBy)?;
+    // One shared stratification per group, by the group's own predicate
+    // column, in group order.
+    let strata: Vec<Arc<Stratification>> = columns
+        .iter()
+        .map(|&c| catalog.strata_cache().column_strata(table, c, cfg.strata))
+        .collect();
 
     // Builds the query-level rows (group rows plus the summary aggregate
     // row) from core per-group estimates, applying PERCENTAGE scaling.
@@ -567,37 +620,36 @@ fn run_groupby<R: Rng + ?Sized>(
         (summary, rows)
     };
 
-    if width.is_none() && observer.is_none() {
-        // Blocking path, byte for byte the pre-anytime executor.
-        let estimates = groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bootstrap, rng)
-            .map_err(QueryError::GroupBy)?;
+    let Some(progressive) = progressive else {
+        let estimates =
+            groupby_single_oracle_with_ci_stratified(&strata, &oracle, &cfg, &bootstrap, rng)
+                .map_err(QueryError::GroupBy)?;
         let (summary, rows) = to_rows(&estimates);
-        Ok(QueryResult::new(vec![summary], oracle.calls() - calls_before, 0, 0, Some(rows)))
-    } else {
-        let progressive = ProgressiveOptions { chunk: None, target_ci_width: width };
-        let result = groupby_single_oracle_progressive(
-            &proxies,
-            &oracle,
-            &cfg,
-            &bootstrap,
-            &progressive,
-            rng,
-            |snap: &GroupSnapshot| {
-                if let Some(obs) = observer.as_deref_mut() {
-                    let (summary, rows) = to_rows(&snap.groups);
-                    obs(&QuerySnapshot {
-                        rows: vec![summary],
-                        groups: Some(rows),
-                        budget_spent: snap.budget_spent,
-                        done: snap.done,
-                    });
-                }
-            },
-        )
-        .map_err(QueryError::GroupBy)?;
-        let (summary, rows) = to_rows(&result.groups);
-        Ok(QueryResult::new(vec![summary], result.oracle_calls, 0, 0, Some(rows)))
-    }
+        let calls = oracle.calls() - calls_before;
+        return Ok(QueryResult::new(vec![summary], calls, 0, 0, Some(rows)));
+    };
+    let result = groupby_single_oracle_progressive_stratified(
+        &strata,
+        &oracle,
+        &cfg,
+        &bootstrap,
+        &progressive,
+        rng,
+        |snap: &GroupSnapshot| {
+            if let Some(obs) = observer.as_deref_mut() {
+                let (summary, rows) = to_rows(&snap.groups);
+                obs(&QuerySnapshot {
+                    rows: vec![summary],
+                    groups: Some(rows),
+                    budget_spent: snap.budget_spent,
+                    done: snap.done,
+                });
+            }
+        },
+    )
+    .map_err(QueryError::GroupBy)?;
+    let (summary, rows) = to_rows(&result.groups);
+    Ok(QueryResult::new(vec![summary], result.oracle_calls, 0, 0, Some(rows)))
 }
 
 /// `EXPLAIN`: renders the physical plan — the chosen algorithm, the
@@ -624,7 +676,7 @@ pub(crate) fn explain_plan(
         lines.push(format!("atom   : {key} -> predicate column `{col}`"));
     }
     let strategy = match &plan.kind {
-        PlanKind::GroupBy { groups } => format!(
+        PlanKind::GroupBy { groups, .. } => format!(
             "ABae-GroupBy (single oracle, minimax allocation over {} groups)",
             groups.len()
         ),
@@ -652,7 +704,7 @@ pub(crate) fn explain_plan(
     // placeholder budget has no split yet — say so instead of guessing.
     match effective_budget(query, bindings) {
         Ok(limit) => lines.push(match &plan.kind {
-            PlanKind::GroupBy { groups } => {
+            PlanKind::GroupBy { groups, .. } => {
                 let pilot = single_oracle_pilot(limit, opts.stage1_fraction, table.len());
                 format!(
                     "budget : {limit} oracle calls = pilot ({pilot} uniform draws shared by {} \
@@ -689,36 +741,25 @@ pub(crate) fn explain_plan(
                 .to_string(),
         ),
     }
-    // Whether execution sorts the table: resident score vectors share one
-    // cached stratification, the rest are stratified on every run.
-    lines.push(match &plan.kind {
-        PlanKind::Scalar { source: source @ ScoreSource::Combined { .. }, .. } => format!(
-            "strata : built on every run — {} strata over {} records (combined scores are \
-             materialized per statement)",
-            opts.strata,
-            source.scores().len(),
-        ),
-        PlanKind::Scalar { source, .. } => {
-            match catalog.strata_cache().peek(&query.table, source, opts.strata) {
-                Some(records) => format!(
-                    "strata : cached — {} strata over {records} records, shared by every \
-                     statement on this score source",
-                    opts.strata,
-                ),
-                None => format!(
-                    "strata : not cached yet — the first run sorts {} records into {} strata \
-                     and caches them",
-                    source.scores().len(),
-                    opts.strata,
-                ),
+    // Whether execution sorts the table: every score source shares one
+    // cached stratification, built by the first run that needs it.
+    let cache = catalog.strata_cache();
+    let k = opts.strata;
+    match &plan.kind {
+        PlanKind::Scalar { source, pred_key, .. } => {
+            let cached = cache.peek(table, source, pred_key, k);
+            lines.push(strata_line("", cached, table.len(), k));
+        }
+        PlanKind::GroupBy { groups, columns } => {
+            for (group, &c) in groups.iter().zip(columns) {
+                let label = format!(
+                    "group '{group}' by column `{}`: ",
+                    table.predicates()[c].name()
+                );
+                lines.push(strata_line(&label, cache.peek_column(table, c, k), table.len(), k));
             }
         }
-        PlanKind::GroupBy { groups } => format!(
-            "strata : built on every run — {} strata per group over {} groups",
-            opts.strata,
-            groups.len(),
-        ),
-    });
+    }
     lines.push(match (catalog.label_store(), &plan.kind) {
         (Some(_), PlanKind::GroupBy { .. }) => {
             // GROUP BY labeling keeps its own within-query cache but does
@@ -774,6 +815,21 @@ pub(crate) fn explain_plan(
         )),
     }
     Ok(lines.join("\n"))
+}
+
+/// One `EXPLAIN` `strata` line: cached over how many records, or not
+/// cached yet. Counts, never times.
+fn strata_line(label: &str, cached: Option<usize>, records: usize, k: usize) -> String {
+    match cached {
+        Some(held) => format!(
+            "strata : {label}cached — {k} strata over {held} records, shared by every \
+             statement on this score source"
+        ),
+        None => format!(
+            "strata : {label}not cached yet — the first run sorts {records} records into {k} \
+             strata and caches them"
+        ),
+    }
 }
 
 /// Builds the per-aggregate result rows, applying `PERCENTAGE` scaling to
@@ -847,18 +903,92 @@ mod tests {
         let cat = catalog();
         let q = parse_query("SELECT AVG(x) FROM t WHERE p ORACLE LIMIT 10").unwrap();
         let plan = plan_query(&cat, &q).unwrap();
-        assert_eq!(plan.columns, vec![0]);
         assert_eq!(plan.column_names, vec!["p".to_string()]);
+        // The plan holds the lowered predicate, not 400 scores: the strata
+        // cache scores and sorts on the first run, and planning sorted
+        // nothing.
         match &plan.kind {
-            PlanKind::Scalar { source, .. } => {
-                assert_eq!(source.scores().len(), 400);
-                assert!(matches!(source, ScoreSource::Combined { .. }));
+            PlanKind::Scalar { source: ScoreSource::Combined { columns, expr }, .. } => {
+                assert_eq!(columns, &vec!["p".to_string()]);
+                assert_eq!(expr, &PredExpr::Pred(0));
             }
-            other => panic!("expected scalar plan, got {other:?}"),
+            other => panic!("expected a scalar plan over the combination, got {other:?}"),
         }
+        assert_eq!(cat.strata_cache().builds(), 0);
         // The plan is Clone + Send: a prepared statement can own it.
         fn assert_send<T: Send + Clone>(_: &T) {}
         assert_send(&plan);
+    }
+
+    /// 900 records in groups 'gray' (`is_gray`) and 'blond' (`is_blond`),
+    /// with `hair=<name>` bound to each group's column, `hair=fair` to
+    /// `is_blond` and `tint=gray` to `is_gray`.
+    fn grouped_engine() -> crate::Engine {
+        let n = 900;
+        let key: Vec<Option<u16>> =
+            (0..n).map(|i| [Some(0), Some(1), None][i % 3]).collect();
+        let column = |g: u16| -> (Vec<bool>, Vec<f64>) {
+            let labels: Vec<bool> = key.iter().map(|&k| k == Some(g)).collect();
+            let proxy = labels
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| if l { 0.6 } else { 0.2 } + ((i * 37 + 11 * g as usize) % 29) as f64 / 90.0)
+                .collect();
+            (labels, proxy)
+        };
+        let ((gray, gray_proxy), (blond, blond_proxy)) = (column(0), column(1));
+        let t = Table::builder("images", (0..n).map(|i| (i % 11) as f64).collect())
+            .predicate("is_gray", gray, gray_proxy)
+            .predicate("is_blond", blond, blond_proxy)
+            .group_key(vec!["gray".into(), "blond".into()], key)
+            .build()
+            .unwrap();
+        crate::Engine::builder()
+            .table(t)
+            .bind_predicate("images", "hair=gray", "is_gray")
+            .bind_predicate("images", "hair=blond", "is_blond")
+            .bind_predicate("images", "hair=fair", "is_blond")
+            .bind_predicate("images", "tint=gray", "is_gray")
+            .bootstrap_trials(50)
+            .seed(17)
+            .build()
+    }
+
+    #[test]
+    fn group_by_pairs_each_atom_with_the_group_it_names() {
+        let engine = grouped_engine();
+        let sql = |atoms: &str| {
+            format!(
+                "SELECT AVG(x), hair FROM images WHERE {atoms} GROUP BY hair(img) \
+                 ORACLE LIMIT 400"
+            )
+        };
+        let in_order = sql("hair(img) = 'gray' OR hair(img) = 'blond'");
+        let swapped = sql("hair(img) = 'blond' OR hair(img) = 'gray'");
+        for statement in [&in_order, &swapped] {
+            let plan = plan_query(engine.catalog(), &parse_query(statement).unwrap()).unwrap();
+            match plan.kind {
+                PlanKind::GroupBy { columns, .. } => assert_eq!(columns, vec![0, 1], "{statement}"),
+                other => panic!("expected a GROUP BY plan, got {other:?}"),
+            }
+        }
+        let answer = |statement: &str| engine.session_with_id(3).execute(statement).unwrap();
+        assert_eq!(answer(&swapped), answer(&in_order));
+
+        for (atoms, why) in [
+            ("hair(img) = 'gray' OR hair(img) = 'fair'", "atom `hair=fair` names no group"),
+            ("is_gray OR is_blond", "atom `is_gray` names no group"),
+            ("hair(img) = 'gray' OR tint(img) = 'gray'", "names group 'gray' twice"),
+        ] {
+            let err = plan_query(engine.catalog(), &parse_query(&sql(atoms)).unwrap()).unwrap_err();
+            match err {
+                QueryError::Unsupported(msg) => {
+                    assert!(msg.contains(why), "{msg}");
+                    assert!(msg.ends_with("(table `images` has groups 'gray', 'blond')"), "{msg}");
+                }
+                other => panic!("expected Unsupported for {atoms}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

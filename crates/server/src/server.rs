@@ -398,7 +398,7 @@ fn run_statement(
     // `(stat, value)` row per engine-wide counter — sessions opened, the
     // oracle batcher's lifetime totals (shared batches, coalesced
     // requests, cache-served records), label-store hits/misses, the
-    // strata cache's builds/hits/records, and the per-session
+    // strata cache's builds/hits/evictions/records, and the per-session
     // oracle-spend ledger. A pure read of shared counters: no
     // oracle calls, no RNG advance, so interleaving it between queries
     // cannot perturb any session's results.
@@ -419,6 +419,7 @@ fn run_statement(
             ("label_store.misses".into(), stats.label_misses),
             ("strata_cache.builds".into(), stats.strata_builds),
             ("strata_cache.hits".into(), stats.strata_hits),
+            ("strata_cache.evictions".into(), stats.strata_evictions),
             ("strata_cache.records".into(), stats.strata_cached_records),
         ];
         for (id, spend) in stats.per_session_spend {
