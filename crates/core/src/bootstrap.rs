@@ -40,8 +40,9 @@
 //! # Across cores
 //!
 //! Replicates are independent given their RNG words, and a replicate over
-//! `D` draws reads exactly `D` words. For the bootstraps of a progressive
-//! run, [`pipeline`] therefore runs the kernel in blocks of 64 replicates:
+//! `D` draws reads exactly `D` words. For the final bootstrap of a
+//! progressive run that spends its cap, [`pipeline`] therefore runs the
+//! kernel in blocks of 64 replicates:
 //! block `j` starts `64·j·D` words into the caller's stream by jump-ahead,
 //! workers on the free cores claim blocks, and the estimates are
 //! reassembled in replicate order. 64 is a multiple of every lane count,
@@ -61,10 +62,13 @@
 //! by the repository benchmark (`benchmark/`, `--trace 1`), a
 //! `refresh_1m` statement's 1,000-trial bootstrap takes about 10 ms, about
 //! 890 calls at `adhoc_wire`'s 10 µs of oracle and admission time per
-//! labeled record, against about 2,450 calls for the old loop; an
-//! `anytime_until` statement's 14 snapshot bootstraps took 99 ms on one
-//! core and 62 ms split. So on this host the paper's ratio holds with
-//! room to spare.
+//! labeled record, against about 2,450 calls for the old loop. So on this
+//! host the paper's ratio holds with room to spare — for one bootstrap
+//! per answer. One per anytime snapshot would not: an `anytime_until`
+//! statement's 14 snapshot bootstraps took 99 ms on one core and 62 ms
+//! split. Intermediate snapshots therefore take the closed-form CI of
+//! [`crate::normal_ci`], and a progressive statement runs this kernel at
+//! most once, when it spends its cap.
 
 use crate::config::{Aggregate, BootstrapConfig};
 use crate::estimator::{combine_estimate, StratumEstimate};

@@ -43,7 +43,9 @@ pub enum Rounding {
 /// Bootstrap CI settings (Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapConfig {
-    /// Number of bootstrap resamples `β`.
+    /// Number of bootstrap resamples `β` of a blocking answer, or of an
+    /// anytime run that spends its cap; intermediate anytime snapshots take
+    /// a closed-form CI and resample nothing.
     pub trials: usize,
     /// Total tail mass `α` (0.05 ⇒ a 95% CI, the paper's default).
     pub alpha: f64,

@@ -22,8 +22,9 @@
 //!   Stage-2 split.
 
 use crate::allocation::optimal_allocation;
-use crate::config::{BootstrapConfig, ConfigError};
+use crate::config::{Aggregate, BootstrapConfig, ConfigError};
 use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::normal_ci::{estimator_variance, normal_interval};
 use crate::pipeline::{self, ReplicateThreads, Replicates};
 use crate::strata::Stratification;
 use crate::two_stage::ProgressiveOptions;
@@ -444,9 +445,7 @@ pub fn groupby_single_oracle_with_ci_stratified<O: GroupOracle + ?Sized, R: Rng 
 }
 
 /// Per-group point estimates plus bootstrap CIs for a sampled single-oracle
-/// run state. Pure in the run state; all randomness comes from `rng`, so
-/// the blocking entry point can pass the caller's stream while progressive
-/// snapshots pass a forked one.
+/// run state. Pure in the run state; all randomness comes from `rng`.
 ///
 /// Each bucket's labels are looked up once per call, not once per
 /// replicate, draw and group. A replicate resamples every bucket's labels —
@@ -465,9 +464,9 @@ fn single_oracle_bootstrap_cis<R: Rng + ?Sized>(
 }
 
 /// [`single_oracle_bootstrap_cis`] with its replicates run by `threads`. A
-/// replicate reads one word per bucket draw, so a progressive run's
-/// replicates split into blocks across cores like the scalar bootstrap's
-/// ([`pipeline::replicates`]).
+/// replicate reads one word per bucket draw, so the final bootstrap of a
+/// progressive run that spends its cap splits into blocks across cores
+/// like the scalar bootstrap's ([`pipeline::replicates`]).
 fn single_oracle_bootstrap_cis_on<R: Rng + ?Sized>(
     threads: ReplicateThreads,
     run: &SingleOracleRun,
@@ -540,6 +539,7 @@ impl Replicates for GroupReplicates {
 
     fn run<G: Rng + ?Sized>(&self, reps: usize, rng: &mut G) -> Vec<Vec<f64>> {
         let mut grid = self.grid.clone();
+        let mut scratch = Vec::with_capacity(grid.strata);
         let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); self.labels.len()];
         for _ in 0..reps {
             for (l, buckets) in self.labels.iter().enumerate() {
@@ -548,9 +548,8 @@ impl Replicates for GroupReplicates {
                     grid.fill_bucket(l, kk, (0..n).map(|_| bucket[rng.gen_range(0..n)]));
                 }
             }
-            let estimates = estimates_from_cells(&grid, &self.sizes);
-            for (reps, e) in replicates.iter_mut().zip(estimates) {
-                reps.push(e);
+            for (gg, reps) in replicates.iter_mut().enumerate() {
+                reps.push(blend_group(&grid, &self.sizes, gg, &mut scratch, |_, _| {}).estimate);
             }
         }
         replicates
@@ -561,7 +560,10 @@ impl Replicates for GroupReplicates {
 /// the labels accumulated so far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSnapshot {
-    /// Per-group estimates with bootstrap CIs, in group order.
+    /// Per-group estimates with CIs, in group order. An intermediate
+    /// snapshot's CIs are closed-form (`None` for a group on the fallback
+    /// path); the last snapshot of a run that spends its cap carries the
+    /// blocking run's bootstrap CIs.
     pub groups: Vec<GroupEstimateWithCi>,
     /// Oracle labels actually charged so far.
     pub budget_spent: u64,
@@ -588,12 +590,18 @@ pub struct GroupByProgressiveResult {
 ///
 /// * Without a CI width target the run spends the full budget and the
 ///   final snapshot (`done == true`) is bit-identical to the blocking run
-///   with the same seed, for any chunk size. Intermediate snapshot CIs use
-///   a forked RNG so they never perturb the caller's stream.
+///   with the same seed, for any chunk size.
+/// * Intermediate snapshot CIs are closed-form and read no RNG: per group,
+///   the `AVG` delta-method variance of every stratification the point
+///   estimate blends, combined with the blend's own inverse-variance
+///   weights as if the stratifications were independent (the bootstrap
+///   makes the same assumption when it resamples each bucket on its own).
+///   A group whose estimate takes the fallback path has no CI.
 /// * With [`ProgressiveOptions::target_ci_width`] set, the run stops at
 ///   the first chunk boundary — once the pilot stage is complete — where
 ///   **every** group's snapshot CI is narrower than the target, charging
-///   only the budget actually consumed.
+///   only the budget actually consumed. A group without a CI keeps the
+///   run going.
 ///
 /// This checks `bootstrap`, `progressive` and `cfg`, stratifies every
 /// group's proxy (`ABaeInit`) and runs
@@ -657,16 +665,10 @@ pub fn groupby_single_oracle_progressive_stratified<
     let mut stopping: Option<GroupSnapshot> = None;
     let chunked = {
         let mut observe = |state: &SingleOracleRun, spent: u64, pilot_complete: bool| -> bool {
-            let mut fork = crate::two_stage::snapshot_rng(spent);
-            let groups = single_oracle_bootstrap_cis_on(
-                ReplicateThreads::FreeCores,
-                state,
-                bootstrap,
-                &mut fork,
-            );
+            let groups = single_oracle_closed_form_cis(state, bootstrap.alpha);
             // Stop only once the pilot stage is complete: partial-pilot CIs
             // can degenerate to zero width and would stop bogusly. Groups
-            // with no CI yet (empty samples) keep the run going.
+            // with no CI yet keep the run going.
             let stop = pilot_complete
                 && target.is_some_and(|w| {
                     groups.iter().all(|e| e.ci.is_some_and(|ci| ci.width() < w))
@@ -751,19 +753,6 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
         "every group's stratification must have {k} strata over {n} records"
     );
 
-    let stratum_of: Vec<Vec<u32>> = stratifications
-        .iter()
-        .map(|s| {
-            let mut map = vec![0u32; n];
-            for (kk, members) in s.strata().iter().enumerate() {
-                for &i in members {
-                    map[i] = kk as u32;
-                }
-            }
-            map
-        })
-        .collect();
-
     // Label cache: one oracle charge per distinct record. Draw order comes
     // from the RNG on this thread; labeling runs through the batch
     // pipeline, cache misses only.
@@ -785,8 +774,8 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
         let ids = &pilot[offset..offset + sz];
         label_uncached(oracle, ids, &mut run.cache, cfg);
         for &idx in ids {
-            for (l, strata) in stratum_of.iter().enumerate() {
-                run.buckets[l][strata[idx] as usize].push(idx);
+            for (l, strat) in stratifications.iter().enumerate() {
+                run.buckets[l][strat.locate(idx).0].push(idx);
             }
         }
         offset += sz;
@@ -823,17 +812,12 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
             let budget_l = (lambda[l] * n2 as f64).floor() as usize;
             let per_stratum = floor_allocation(&t_hats[l], budget_l);
             for (kk, &want) in per_stratum.iter().enumerate() {
-                let members = run.stratifications[l].stratum(kk);
                 // Draw fresh records: exclude ids already sampled in this
                 // bucket so the two stages stay a without-replacement
                 // sample. (A record drawn under another stratification can
                 // recur here; the label cache absorbs the duplicate.)
-                let taken: BTreeSet<usize> = run.buckets[l][kk].iter().copied().collect();
-                let fresh: Vec<usize> =
-                    members.iter().copied().filter(|i| !taken.contains(i)).collect();
-                for pos in sample_without_replacement(fresh.len(), want, rng) {
-                    flat2.push((l, kk, fresh[pos]));
-                }
+                let fresh = draw_fresh(&run.stratifications[l], kk, &run.buckets[l][kk], want, rng);
+                flat2.extend(fresh.into_iter().map(|id| (l, kk, id)));
             }
         }
 
@@ -866,6 +850,45 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     Ok(ChunkedSingleOracle { run, stopped, oracle_calls: oracle.calls() - calls_before })
 }
 
+/// Draws `want` fresh members of stratum `kk` — members not among
+/// `taken`, the bucket's ids so far — uniformly without replacement, in
+/// O(|taken| + want) rather than O(|members|). The fresh members, in
+/// member order, are never built: `sample_without_replacement(members −
+/// taken, …)` draws fresh positions, and each maps to its member by
+/// skipping the taken members' sorted positions (located through the
+/// record → position map). So this returns the same records, in the same
+/// order, from the same RNG calls as drawing from the filtered member
+/// list.
+fn draw_fresh<R: Rng + ?Sized>(
+    strat: &Stratification,
+    kk: usize,
+    taken: &[usize],
+    want: usize,
+    rng: &mut R,
+) -> Vec<usize> {
+    let members = strat.stratum(kk);
+    let mut skips: Vec<usize> = taken
+        .iter()
+        .map(|&id| {
+            let (k, i) = strat.locate(id);
+            debug_assert_eq!(k, kk, "a bucket holds only its own stratum's members");
+            i
+        })
+        .collect();
+    skips.sort_unstable();
+    skips.dedup();
+    // `skips[j] - j` fresh members precede the j-th taken one, so fresh
+    // position `f` lies past exactly the taken members with
+    // `skips[j] - j <= f`.
+    for (j, skip) in skips.iter_mut().enumerate() {
+        *skip -= j;
+    }
+    sample_without_replacement(members.len() - skips.len(), want, rng)
+        .into_iter()
+        .map(|f| members[f + skips.partition_point(|&s| s <= f)])
+        .collect()
+}
+
 /// Final single-oracle estimates: per group, inverse-variance weighting
 /// across stratifications (§4.5 "Single Oracle"). Pure function of the
 /// sampled buckets and cached labels.
@@ -879,68 +902,129 @@ fn single_oracle_estimates(
     estimates_from_cells(&bucket_cells(buckets, cache, strata), &sizes)
 }
 
-/// The cells → estimates step shared by the point estimate and every
-/// bootstrap replicate. `sizes[l]` are stratification `l`'s stratum sizes.
+/// The cells → estimates step of the point estimate: every group's
+/// [`blend_group`]. `sizes[l]` are stratification `l`'s stratum sizes.
 fn estimates_from_cells(grid: &CellGrid, sizes: &[Vec<usize>]) -> Vec<f64> {
-    let g = grid.groups;
-    let mut strata_est: Vec<StratumEstimate> = Vec::with_capacity(grid.strata);
-    let mut out = Vec::with_capacity(g);
-    for gg in 0..g {
-        let mut weighted = 0.0;
-        let mut weight_total = 0.0;
-        let mut fallback_sum = 0.0;
-        let mut fallback_n = 0usize;
-        for (l, sizes) in sizes.iter().enumerate() {
-            let cells = grid.row(l, gg);
-            // Point estimate from stratification l.
-            strata_est.clear();
-            strata_est.extend(cells.iter().zip(sizes).map(|(c, &s)| StratumEstimate {
-                size: s,
-                draws: c.draws,
-                positives: c.positives,
-                p_hat: c.p_hat,
-                mu_hat: c.mu_hat,
-                sigma_hat: c.sigma_hat,
-            }));
-            let est = combine_estimate(crate::config::Aggregate::Avg, &strata_est);
-            // Variance estimate: Σ_k ŵ²σ̂²/B_k over positive draws.
-            let w_total: f64 =
-                cells.iter().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
-            if w_total <= 0.0 {
-                continue;
-            }
-            let mut var = 0.0;
-            let mut usable = true;
-            for (c, &s) in cells.iter().zip(sizes) {
-                let w = s as f64 * c.p_hat / w_total;
-                if w == 0.0 {
-                    continue;
-                }
-                if c.positives == 0 {
-                    usable = false;
-                    break;
-                }
-                var += w * w * c.sigma_hat * c.sigma_hat / c.positives as f64;
-            }
-            if !usable {
-                continue;
-            }
-            fallback_sum += est;
-            fallback_n += 1;
-            let w = 1.0 / var.max(1e-12);
-            weighted += w * est;
-            weight_total += w;
+    let mut scratch = Vec::with_capacity(grid.strata);
+    (0..grid.groups)
+        .map(|gg| blend_group(grid, sizes, gg, &mut scratch, |_, _| {}).estimate)
+        .collect()
+}
+
+/// One group's estimate, blended across stratifications.
+struct Blend {
+    /// The group's estimate.
+    estimate: f64,
+    /// The sum of the blended stratifications' weights; `0` when the
+    /// estimate takes the fallback path (no stratification is usable, or
+    /// none has a finite variance).
+    weight_total: f64,
+}
+
+/// Group `gg`'s inverse-variance blend across stratifications (§4.5
+/// "Single Oracle"), shared by the point estimate, every bootstrap
+/// replicate and the closed-form CI. Each stratification `l` whose cells
+/// weigh only strata with positive draws gives an estimate `est_l` and a
+/// variance `Σ_k ŵ²σ̂²/B_k`, and is weighted by `w_l = 1/max(var_l, 1e-12)`;
+/// `on_term(w_l, strata_l)` sees each such weight with the
+/// stratification's per-stratum estimates. `scratch` holds those
+/// estimates and is reused, so a caller that passes one buffer to every
+/// call allocates nothing.
+fn blend_group(
+    grid: &CellGrid,
+    sizes: &[Vec<usize>],
+    gg: usize,
+    scratch: &mut Vec<StratumEstimate>,
+    mut on_term: impl FnMut(f64, &[StratumEstimate]),
+) -> Blend {
+    let mut weighted = 0.0;
+    let mut weight_total = 0.0;
+    let mut fallback_sum = 0.0;
+    let mut fallback_n = 0usize;
+    for (l, sizes) in sizes.iter().enumerate() {
+        let cells = grid.row(l, gg);
+        // Point estimate from stratification l.
+        scratch.clear();
+        scratch.extend(cells.iter().zip(sizes).map(|(c, &s)| StratumEstimate {
+            size: s,
+            draws: c.draws,
+            positives: c.positives,
+            p_hat: c.p_hat,
+            mu_hat: c.mu_hat,
+            sigma_hat: c.sigma_hat,
+        }));
+        let est = combine_estimate(Aggregate::Avg, scratch);
+        // Variance estimate: Σ_k ŵ²σ̂²/B_k over positive draws.
+        let w_total: f64 = cells.iter().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+        if w_total <= 0.0 {
+            continue;
         }
-        let estimate = if weight_total > 0.0 {
-            weighted / weight_total
-        } else if fallback_n > 0 {
-            fallback_sum / fallback_n as f64
-        } else {
-            0.0
-        };
-        out.push(estimate);
+        let mut var = 0.0;
+        let mut usable = true;
+        for (c, &s) in cells.iter().zip(sizes) {
+            let w = s as f64 * c.p_hat / w_total;
+            if w == 0.0 {
+                continue;
+            }
+            if c.positives == 0 {
+                usable = false;
+                break;
+            }
+            var += w * w * c.sigma_hat * c.sigma_hat / c.positives as f64;
+        }
+        if !usable {
+            continue;
+        }
+        fallback_sum += est;
+        fallback_n += 1;
+        let w = 1.0 / var.max(1e-12);
+        weighted += w * est;
+        weight_total += w;
+        on_term(w, scratch);
     }
-    out
+    let estimate = if weight_total > 0.0 {
+        weighted / weight_total
+    } else if fallback_n > 0 {
+        fallback_sum / fallback_n as f64
+    } else {
+        0.0
+    };
+    Blend { estimate, weight_total }
+}
+
+/// Per-group estimates with closed-form CIs at `alpha`: an intermediate
+/// snapshot's answer, with no RNG. A group's variance blends each
+/// stratification's `AVG` delta-method variance `V_l`
+/// ([`estimator_variance`]) with the point estimate's own normalized
+/// weights `a_l = w_l / Σ w`: `Var = Σ_l a_l² V_l`, the variance of the
+/// blend if the stratifications were independent. A group on the fallback
+/// path, or with a variance that is not finite, gets no CI.
+fn single_oracle_closed_form_cis(run: &SingleOracleRun, alpha: f64) -> Vec<GroupEstimateWithCi> {
+    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(|s| s.sizes()).collect();
+    let strata = run.buckets.first().map(Vec::len).unwrap_or(0);
+    let grid = bucket_cells(&run.buckets, &run.cache, strata);
+    let mut scratch = Vec::with_capacity(strata);
+    let mut terms: Vec<(f64, Option<f64>)> = Vec::with_capacity(grid.groups);
+    (0..grid.groups)
+        .map(|gg| {
+            terms.clear();
+            let blend = blend_group(&grid, &sizes, gg, &mut scratch, |w, strata| {
+                terms.push((w, estimator_variance(Aggregate::Avg, strata)));
+            });
+            let var = (blend.weight_total > 0.0).then(|| {
+                terms
+                    .iter()
+                    .filter(|&&(w, _)| w > 0.0)
+                    .map(|&(w, v)| {
+                        let a = w / blend.weight_total;
+                        v.map(|v| a * a * v)
+                    })
+                    .sum::<Option<f64>>()
+            });
+            let ci = var.flatten().and_then(|var| normal_interval(blend.estimate, var, alpha));
+            GroupEstimateWithCi { group: gg as u16, estimate: blend.estimate, ci }
+        })
+        .collect()
 }
 
 /// ABae-GroupBy in the multiple-oracle setting: one predicate oracle per
@@ -961,8 +1045,10 @@ pub struct GroupEstimateWithCi {
     pub group: u16,
     /// Estimated per-group average.
     pub estimate: f64,
-    /// Stratified percentile-bootstrap CI (`None` when the group's
-    /// samples are empty).
+    /// The CI: a stratified percentile bootstrap for a blocking or capped
+    /// answer (`None` when the group's samples are empty), closed-form for
+    /// an intermediate or early-stopped anytime snapshot (`None` when the
+    /// group's estimate takes the fallback path).
     pub ci: Option<abae_stats::bootstrap::ConfidenceInterval>,
 }
 
@@ -1361,6 +1447,8 @@ mod tests {
 mod ci_tests {
     use super::*;
     use crate::config::BootstrapConfig;
+    use crate::normal_ci::closed_form_ci;
+    use abae_stats::bootstrap::ConfidenceInterval;
     use abae_data::{PredicateOracle, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1864,6 +1952,64 @@ mod ci_tests {
         }
 
         #[test]
+        fn closed_form_cis_match_the_written_out_blend(
+            seed in 0u64..u64::MAX,
+            groups in 1usize..5,
+            strata in 1usize..6,
+        ) {
+            let run = random_run(&mut StdRng::seed_from_u64(seed), groups, strata);
+            let got = single_oracle_closed_form_cis(&run, 0.05);
+            let points = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let estimates: Vec<f64> = got.iter().map(|r| r.estimate).collect();
+            proptest::prop_assert_eq!(bits(&estimates), bits(&points));
+            let cis: Vec<_> = got.iter().map(|r| r.ci).collect();
+            proptest::prop_assert_eq!(cis, reference_blend_cis(&run, 0.05));
+        }
+
+        #[test]
+        fn fresh_draws_match_the_filtered_member_list(
+            seed in 0u64..u64::MAX,
+            n in 1usize..300,
+            k in 1usize..6,
+            taken_pick in 0usize..5,
+            want_pick in 0usize..4,
+        ) {
+            use rand::{Rng as _, RngCore as _};
+            let mut gen = StdRng::seed_from_u64(seed);
+            let scores: Vec<f64> = (0..n).map(|_| gen.gen()).collect();
+            let strat = Stratification::by_proxy_quantile(&scores, k);
+            let kk = gen.gen_range(0..k);
+            let members = strat.stratum(kk);
+            // A bucket's ids come in draw order, not member order.
+            let mut drawn = members.to_vec();
+            for i in (1..drawn.len()).rev() {
+                drawn.swap(i, gen.gen_range(0..=i));
+            }
+            let m = drawn.len();
+            let taken = match taken_pick {
+                0 => 0,
+                1 => m.min(1),
+                2 => m.saturating_sub(1),
+                3 => m,
+                _ => gen.gen_range(0..=m),
+            };
+            let fresh = m - taken;
+            let want = match want_pick {
+                0 => fresh,
+                1 => fresh + gen.gen_range(1..10),
+                2 => gen.gen_range(0..=fresh),
+                _ => fresh.saturating_sub(1),
+            };
+            let mut ours = StdRng::seed_from_u64(seed ^ 7);
+            let mut theirs = ours.clone();
+            let got = draw_fresh(&strat, kk, &drawn[..taken], want, &mut ours);
+            let expected = reference_fresh(members, &drawn[..taken], want, &mut theirs);
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(ours.next_u64(), theirs.next_u64());
+        }
+
+        #[test]
         fn bootstrap_matches_resampling_ids_bit_for_bit(
             seed in 0u64..u64::MAX,
             groups in 1usize..5,
@@ -1923,6 +2069,234 @@ mod ci_tests {
                 }
             }
         }
+    }
+
+    /// The Stage-2 draw that [`draw_fresh`] replaced: filter the stratum's
+    /// members through the bucket's taken ids, then draw positions of the
+    /// filtered list.
+    fn reference_fresh<R: Rng + ?Sized>(
+        members: &[usize],
+        taken: &[usize],
+        want: usize,
+        rng: &mut R,
+    ) -> Vec<usize> {
+        let taken: BTreeSet<usize> = taken.iter().copied().collect();
+        let fresh: Vec<usize> = members.iter().copied().filter(|i| !taken.contains(i)).collect();
+        sample_without_replacement(fresh.len(), want, rng).into_iter().map(|p| fresh[p]).collect()
+    }
+
+    /// Group `gg`'s cells under stratification `l`, as stratum estimates.
+    fn reference_strata(run: &SingleOracleRun, l: usize, gg: u16) -> Vec<StratumEstimate> {
+        let sizes = run.stratifications[l].sizes();
+        run.buckets[l]
+            .iter()
+            .zip(sizes)
+            .map(|(ids, size)| {
+                let c = reference_cell(ids, &run.cache, gg);
+                StratumEstimate {
+                    size,
+                    draws: c.draws,
+                    positives: c.positives,
+                    p_hat: c.p_hat,
+                    mu_hat: c.mu_hat,
+                    sigma_hat: c.sigma_hat,
+                }
+            })
+            .collect()
+    }
+
+    /// The closed-form blend, written out: per group, the normalized
+    /// inverse-variance weights `a_l` of the point estimate and each
+    /// stratification's `AVG` delta-method variance `V_l`, then
+    /// `estimate ± z·√(Σ a_l² V_l)`.
+    fn reference_blend_cis(run: &SingleOracleRun, alpha: f64) -> Vec<Option<ConfidenceInterval>> {
+        let estimates = reference_estimates(&run.buckets, &run.cache, &run.stratifications);
+        let z = abae_stats::special::normal_quantile(1.0 - alpha / 2.0);
+        (0..run.stratifications.len())
+            .map(|gg| {
+                let mut weights = Vec::new();
+                let mut variances = Vec::new();
+                for l in 0..run.stratifications.len() {
+                    let strata = reference_strata(run, l, gg as u16);
+                    let w_total: f64 = strata.iter().map(|s| s.size as f64 * s.p_hat).sum();
+                    if w_total <= 0.0 {
+                        continue;
+                    }
+                    let mut var = 0.0;
+                    let mut usable = true;
+                    for s in &strata {
+                        let w = s.size as f64 * s.p_hat / w_total;
+                        if w == 0.0 {
+                            continue;
+                        }
+                        if s.positives == 0 {
+                            usable = false;
+                            break;
+                        }
+                        var += w * w * s.sigma_hat * s.sigma_hat / s.positives as f64;
+                    }
+                    if usable {
+                        weights.push(1.0 / var.max(1e-12));
+                        variances.push(estimator_variance(Aggregate::Avg, &strata));
+                    }
+                }
+                let total: f64 = weights.iter().sum();
+                if total <= 0.0 {
+                    return None;
+                }
+                let mut var = 0.0;
+                for (w, v) in weights.iter().zip(&variances) {
+                    if *w > 0.0 {
+                        let a = w / total;
+                        var += a * a * (*v)?;
+                    }
+                }
+                if !var.is_finite() {
+                    return None;
+                }
+                let half = z * var.sqrt();
+                let estimate = estimates[gg];
+                Some(ConfidenceInterval { lo: estimate - half, hi: estimate + half, confidence: 1.0 - alpha })
+            })
+            .collect()
+    }
+
+    /// A table with a single group: 12% of records, with an informative
+    /// proxy.
+    fn one_group_table(n: usize, seed: u64) -> Table {
+        use rand::Rng as _;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let key: Vec<Option<u16>> = (0..n).map(|_| (rng.gen::<f64>() < 0.12).then_some(0)).collect();
+        let labels: Vec<bool> = key.iter().map(Option::is_some).collect();
+        let proxy: Vec<f64> = labels
+            .iter()
+            .map(|&l| if l { rng.gen_range(0.5..1.0) } else { rng.gen_range(0.0..0.6) })
+            .collect();
+        let values: Vec<f64> = labels
+            .iter()
+            .map(|&l| if l { 10.0 + rng.gen_range(-3.0..3.0) } else { 0.0 })
+            .collect();
+        Table::builder("one", values)
+            .predicate("g0", labels, proxy)
+            .group_key(vec!["g0".into()], key)
+            .build()
+            .unwrap()
+    }
+
+    /// Every intermediate snapshot of a progressive run over `table`,
+    /// beside the run state it was taken from, rendered by `reference`.
+    fn snapshots_and_states<T>(
+        table: &Table,
+        cfg: &GroupByConfig,
+        bootstrap: &BootstrapConfig,
+        seed: u64,
+        mut reference: impl FnMut(&SingleOracleRun, u64) -> T,
+    ) -> Vec<(GroupSnapshot, T)> {
+        let oracle = abae_data::SingleGroupOracle::new(table).unwrap();
+        let proxies: Vec<&[f64]> = table.predicates().iter().map(|p| p.proxy()).collect();
+        let strata = stratify_groups(&proxies, &oracle, cfg).unwrap();
+        let chunk = 64;
+        let mut want = Vec::new();
+        single_oracle_chunked(&strata, &oracle, cfg, chunk, &mut StdRng::seed_from_u64(seed), &mut |state, spent, _| {
+            want.push(reference(state, spent));
+            false
+        })
+        .unwrap();
+        let mut snaps = Vec::new();
+        let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
+        groupby_single_oracle_progressive_stratified(
+            &strata,
+            &oracle,
+            cfg,
+            bootstrap,
+            &opts,
+            &mut StdRng::seed_from_u64(seed),
+            |s| snaps.push(s.clone()),
+        )
+        .unwrap();
+        let last = snaps.pop().expect("a final snapshot");
+        assert!(last.done && snaps.iter().all(|s| !s.done));
+        assert_eq!(snaps.len(), want.len());
+        snaps.into_iter().zip(want).collect()
+    }
+
+    #[test]
+    fn one_group_snapshots_carry_the_closed_form_ci_of_its_stratification() {
+        let t = one_group_table(8_000, 21);
+        let cfg = GroupByConfig { budget: 900, ..Default::default() };
+        let bootstrap = BootstrapConfig { trials: 20, alpha: 0.1 };
+        let pairs = snapshots_and_states(&t, &cfg, &bootstrap, 22, |state, spent| {
+            let strata = reference_strata(state, 0, 0);
+            let estimate = reference_estimates(&state.buckets, &state.cache, &state.stratifications)[0];
+            (spent, estimate, strata)
+        });
+        assert!(pairs.len() > 5, "{} snapshots", pairs.len());
+        let mut with_ci = 0;
+        for (snap, (spent, estimate, strata)) in &pairs {
+            assert_eq!(snap.budget_spent, *spent);
+            let row = snap.groups[0];
+            assert_eq!(row.estimate.to_bits(), estimate.to_bits(), "spent {spent}");
+            let want = closed_form_ci(Aggregate::Avg, strata, bootstrap.alpha);
+            match (row.ci, want) {
+                (None, None) => {}
+                (Some(ci), Some(want)) => {
+                    with_ci += 1;
+                    // One stratification's weight normalizes to exactly 1,
+                    // so the half-width is the closed form's, bit for bit;
+                    // the centre is the blended estimate `(w·est)/w`, which
+                    // may round one ulp away from the stratification's own.
+                    let var = estimator_variance(Aggregate::Avg, strata).unwrap();
+                    assert_eq!(Some(ci), normal_interval(row.estimate, var, bootstrap.alpha));
+                    assert_eq!(ci.confidence.to_bits(), want.confidence.to_bits());
+                    for (got, want) in [(ci.lo, want.lo), (ci.hi, want.hi)] {
+                        assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0), "{got} vs {want}");
+                    }
+                }
+                (got, want) => panic!("spent {spent}: CI {got:?}, closed form {want:?}"),
+            }
+        }
+        assert!(with_ci > 3, "{with_ci} snapshots with a CI");
+    }
+
+    #[test]
+    fn two_group_snapshots_carry_the_blended_closed_form_ci() {
+        let t = two_group_table(20_000, 23);
+        let cfg = GroupByConfig { budget: 1500, ..Default::default() };
+        let bootstrap = BootstrapConfig { trials: 20, alpha: 0.05 };
+        let pairs = snapshots_and_states(&t, &cfg, &bootstrap, 24, |state, spent| {
+            (spent, reference_blend_cis(state, bootstrap.alpha))
+        });
+        assert!(pairs.len() > 10, "{} snapshots", pairs.len());
+        for (snap, (spent, want)) in &pairs {
+            assert_eq!(snap.budget_spent, *spent);
+            let got: Vec<_> = snap.groups.iter().map(|g| g.ci).collect();
+            assert_eq!(&got, want, "spent {spent}");
+        }
+        assert!(pairs.last().unwrap().0.groups.iter().all(|g| g.ci.is_some()));
+    }
+
+    #[test]
+    fn a_group_on_the_fallback_path_has_no_closed_form_ci() {
+        // Two groups over 40 records in 2 strata; group 1 never appears
+        // among the labels, so no stratification can weigh it.
+        let strat = Arc::new(Stratification::by_proxy_quantile(
+            &(0..40).map(|i| i as f64).collect::<Vec<_>>(),
+            2,
+        ));
+        let stratifications = vec![strat.clone(), strat];
+        let buckets: Vec<Vec<Vec<usize>>> = vec![vec![(0..10).collect(), (20..30).collect()]; 2];
+        let cache: BTreeMap<usize, GroupLabel> = (0..40)
+            .map(|id| {
+                let group = (id % 3 == 0).then_some(0);
+                (id, GroupLabel { group, value: id as f64 })
+            })
+            .collect();
+        let run = SingleOracleRun { buckets, cache, stratifications };
+        let rows = single_oracle_closed_form_cis(&run, 0.05);
+        assert!(rows[0].ci.is_some(), "{rows:?}");
+        assert_eq!(rows[1].ci, None, "{rows:?}");
+        assert_eq!(rows[1].estimate, 0.0);
+        assert_eq!(rows.iter().map(|r| r.ci).collect::<Vec<_>>(), reference_blend_cis(&run, 0.05));
     }
 
     #[test]

@@ -4,7 +4,12 @@
 //! notes it costs as much CPU as ~2,500 oracle calls (§3.1). For very tight
 //! latency budgets a closed-form interval is useful; this module derives
 //! one with the delta method and compares against the bootstrap in the
-//! `ablation_ci` bench.
+//! `ablation_ci` bench. Every intermediate anytime snapshot uses it: a
+//! scalar snapshot's CIs are [`closed_form_ci`] over the merged per-stratum
+//! estimates, and a GROUP BY snapshot blends this `AVG` variance across
+//! each group's stratifications (`crate::groupby`). A snapshot then costs
+//! O(K) once its strata are folded, where a bootstrap costs O(draws ×
+//! trials).
 //!
 //! For `AVG`, the estimator is the ratio `μ̂ = Σ_k s_k p̂_k μ̂_k / Σ_k s_k
 //! p̂_k`. First-order propagation through `(p̂_k, μ̂_k)` gives
@@ -24,8 +29,9 @@ use crate::estimator::StratumEstimate;
 use abae_stats::bootstrap::ConfidenceInterval;
 use abae_stats::special::normal_quantile;
 
-/// Delta-method variance of the combined estimator.
-fn estimator_variance(agg: Aggregate, strata: &[StratumEstimate]) -> Option<f64> {
+/// Delta-method variance of the combined estimator, or `None` when it is
+/// not estimable from the samples (see [`closed_form_ci`]).
+pub(crate) fn estimator_variance(agg: Aggregate, strata: &[StratumEstimate]) -> Option<f64> {
     let w_total: f64 = strata.iter().map(|s| s.size as f64 * s.p_hat).sum();
     match agg {
         Aggregate::Avg => {
@@ -109,8 +115,13 @@ pub fn closed_form_ci(
         return None;
     }
     let estimate = crate::estimator::combine_estimate(agg, strata);
-    let var = estimator_variance(agg, strata)?;
-    if !var.is_finite() {
+    normal_interval(estimate, estimator_variance(agg, strata)?, alpha)
+}
+
+/// The normal interval `estimate ± z_{1−α/2}·√var`, or `None` when the
+/// variance is not finite or `alpha` is outside `(0, 1)`.
+pub(crate) fn normal_interval(estimate: f64, var: f64, alpha: f64) -> Option<ConfidenceInterval> {
+    if !(0.0 < alpha && alpha < 1.0 && var.is_finite()) {
         return None;
     }
     let z = normal_quantile(1.0 - alpha / 2.0);

@@ -20,8 +20,8 @@
 //! environment variables so whole test runs can be flipped between serial
 //! and parallel execution (the CI matrix runs both).
 //!
-//! The bootstraps of a progressive run (Algorithm 2 at every snapshot)
-//! split the same way, with no knob. A run is cut into blocks of 64
+//! The final bootstrap of a progressive run that spends its cap splits
+//! the same way, with no knob. A run is cut into blocks of 64
 //! replicates; block `j` starts at its exact position in the caller's RNG
 //! stream by jump-ahead ([`rand::rngs::StdRng::strided`]); workers on the
 //! cores of `available_parallelism()` that no other replicate run holds
@@ -35,9 +35,9 @@
 //! there: measured on a 2-vCPU host, a second busy thread added anywhere
 //! from nothing to a full core of throughput, the state flipping every few
 //! seconds. A statement whose only heavy step is one 5–10 ms bootstrap
-//! then ran at two speeds from one run to the next. A progressive run
-//! bootstraps at every snapshot for the whole statement, which is where
-//! the cores save the most.
+//! then ran at two speeds from one run to the next. A progressive run's
+//! snapshots are closed-form, so the split serves its one bootstrap, at
+//! the end of a run that spends its cap.
 
 use abae_data::{GroupLabel, GroupOracle, Labeled, Oracle};
 use rand::rngs::StdRng;
@@ -201,7 +201,7 @@ pub(crate) enum ReplicateThreads {
     /// The calling thread alone: a blocking statement's bootstrap.
     Calling,
     /// The calling thread plus helpers on the cores no other replicate run
-    /// holds: the snapshot and final bootstraps of a progressive run.
+    /// holds: the final bootstrap of a progressive run that spends its cap.
     FreeCores,
 }
 

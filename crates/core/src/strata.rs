@@ -8,11 +8,29 @@
 //! Ties are broken by record index so stratification is deterministic, and
 //! sizes differ by at most one when `K ∤ n`.
 
+use std::sync::OnceLock;
+
 /// A partition of record indices into proxy-quantile strata.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the strata only: the record → position map that
+/// GROUP BY's Stage 2 builds on first use is derived from them.
+#[derive(Debug, Clone)]
 pub struct Stratification {
     strata: Vec<Vec<usize>>,
+    /// `positions[r]`: record `r`'s index in the strata order (stratum 0's
+    /// members, then stratum 1's, …), one `u32` per record. Built by the
+    /// first `locate`, so a cached stratification builds it once and a
+    /// scalar query, which never locates, never holds it.
+    positions: OnceLock<Vec<u32>>,
 }
+
+impl PartialEq for Stratification {
+    fn eq(&self, other: &Self) -> bool {
+        self.strata == other.strata
+    }
+}
+
+impl Eq for Stratification {}
 
 impl Stratification {
     /// Stratifies records `0..scores.len()` into `k` quantile strata by
@@ -50,13 +68,17 @@ impl Stratification {
             strata.push(order[cursor..cursor + size].to_vec());
             cursor += size;
         }
-        Self { strata }
+        Self::from_strata(strata)
+    }
+
+    fn from_strata(strata: Vec<Vec<usize>>) -> Self {
+        Self { strata, positions: OnceLock::new() }
     }
 
     /// Builds a single-stratum partition over `n` records (the degenerate
     /// `K = 1` case, equivalent to uniform sampling with a budget split).
     pub fn single(n: usize) -> Self {
-        Self { strata: vec![(0..n).collect()] }
+        Self::from_strata(vec![(0..n).collect()])
     }
 
     /// Number of strata `K`.
@@ -88,6 +110,32 @@ impl Stratification {
     /// Total number of records.
     pub fn total(&self) -> usize {
         self.strata.iter().map(Vec::len).sum()
+    }
+
+    /// Record `record`'s stratum and its index among that stratum's
+    /// members: `self.stratum(k)[i] == record` for `(k, i) = locate(record)`.
+    /// O(K) after the first call, which builds the record → position map
+    /// in one pass over the records.
+    ///
+    /// # Panics
+    /// Panics if `record` is not one of the partitioned records, or if the
+    /// partition holds more than 2^32 records.
+    pub(crate) fn locate(&self, record: usize) -> (usize, usize) {
+        let positions = self.positions.get_or_init(|| {
+            let mut map = vec![0u32; self.total()];
+            for (pos, &r) in self.strata.iter().flatten().enumerate() {
+                map[r] = u32::try_from(pos).expect("a position map holds at most 2^32 records");
+            }
+            map
+        });
+        let mut offset = positions[record] as usize;
+        for (k, members) in self.strata.iter().enumerate() {
+            if offset < members.len() {
+                return (k, offset);
+            }
+            offset -= members.len();
+        }
+        unreachable!("every position falls inside a stratum")
     }
 
     /// Exact per-stratum positive rates and conditional statistic moments
@@ -236,6 +284,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn locate_inverts_the_strata_order() {
+        let scores: Vec<f64> = (0..103).map(|i| (i as f64 * 0.7).sin()).collect();
+        let s = Stratification::by_proxy_quantile(&scores, 5);
+        for (k, members) in s.strata().iter().enumerate() {
+            for (i, &record) in members.iter().enumerate() {
+                assert_eq!(s.locate(record), (k, i), "record {record}");
+            }
+        }
+        let single = Stratification::single(4);
+        assert_eq!(single.locate(3), (0, 3));
+    }
+
+    #[test]
+    fn the_position_map_does_not_take_part_in_equality() {
+        let scores = [0.9, 0.1, 0.5, 0.3, 0.7, 0.2];
+        let located = Stratification::by_proxy_quantile(&scores, 3);
+        let fresh = Stratification::by_proxy_quantile(&scores, 3);
+        let _ = located.locate(4);
+        assert!(located.positions.get().is_some() && fresh.positions.get().is_none());
+        assert_eq!(located, fresh);
+        assert_eq!(fresh, located);
+        let (a, b) = (located.clone(), fresh.clone());
+        assert!(a.positions.get().is_some() && b.positions.get().is_none());
+        assert_eq!(a, b);
+        assert_eq!(a, fresh);
+        assert_ne!(a, Stratification::by_proxy_quantile(&scores, 2));
+    }
+
     proptest! {
         #[test]
         fn partition_invariants(
@@ -249,6 +326,11 @@ mod tests {
             let max = sizes.iter().max().copied().unwrap_or(0);
             let min = sizes.iter().min().copied().unwrap_or(0);
             prop_assert!(max - min <= 1);
+            for (pos, &record) in s.strata().iter().flatten().enumerate() {
+                let (k, i) = s.locate(record);
+                prop_assert_eq!(s.stratum(k)[i], record);
+                prop_assert_eq!(s.sizes()[..k].iter().sum::<usize>() + i, pos);
+            }
         }
     }
 }

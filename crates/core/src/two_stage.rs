@@ -16,13 +16,24 @@
 //! [`Snapshot`] — a statistically valid estimate of the same query —
 //! can be emitted. The blocking path is simply the one-chunk instance.
 //! All randomness (which records to draw) stays on the caller's RNG in a
-//! fixed order, and intermediate snapshot CIs use a forked RNG stream
-//! derived from the budget spent, so the final snapshot is bit-identical
-//! to a blocking run at any thread count and any chunk size.
+//! fixed order. An intermediate snapshot's CIs are closed-form
+//! ([`closed_form_ci`] over the merged strata), so a snapshot reads no
+//! RNG and costs O(K) once its strata are folded. A run that spends its
+//! cap ends with Algorithm 2's bootstrap on the caller's stream, so its
+//! final snapshot is bit-identical to a blocking run at any thread count
+//! and any chunk size.
+//!
+//! §3.1 prices a 1,000-trial bootstrap at about 2,500 oracle calls on the
+//! paper's T4. Bootstrapping every snapshot would pay that at every chunk
+//! boundary, over every draw so far: 57 of 61 ms of a typical `UNTIL`
+//! statement of the repository benchmark, for its 14 snapshots. With
+//! closed-form snapshots a progressive run pays for at most one
+//! bootstrap, when it spends its cap.
 
 use crate::bootstrap::{bootstrap_cis_on, stratified_bootstrap_cis};
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
 use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::normal_ci::closed_form_ci;
 use crate::pipeline::{self, ReplicateThreads};
 use crate::strata::Stratification;
 use crate::stratum_stats::StratumStats;
@@ -32,8 +43,7 @@ use abae_sampling::budget::{
 };
 use abae_sampling::pool::IndexPool;
 use abae_stats::bootstrap::ConfidenceInterval;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Full output of one two-stage run, including everything the bootstrap
 /// needs to resample.
@@ -72,7 +82,10 @@ pub struct AggAnswer {
     pub agg: Aggregate,
     /// The point estimate.
     pub estimate: f64,
-    /// Bootstrap percentile CI (`None` when no draws or `trials == 0`).
+    /// The CI: Algorithm 2's percentile bootstrap for a blocking or capped
+    /// answer (`None` when no draws or `trials == 0`), closed-form for an
+    /// intermediate or early-stopped snapshot (`None` when the variance is
+    /// not estimable yet).
     pub ci: Option<ConfidenceInterval>,
 }
 
@@ -92,8 +105,10 @@ pub struct MultiAggResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// One answer per requested aggregate, as of this snapshot. Estimates
-    /// come from the merged [`StratumStats`]; intermediate CIs use a forked
-    /// RNG stream so they never perturb the caller's stream.
+    /// come from the merged [`StratumStats`]. An intermediate snapshot's
+    /// CIs are closed-form ([`closed_form_ci`], `None` where the variance
+    /// is not estimable yet) and read no RNG; the last snapshot of a run
+    /// that spends its cap carries the blocking run's bootstrap CIs.
     pub answers: Vec<AggAnswer>,
     /// Oracle labels consumed up to and including this snapshot's chunk.
     pub budget_spent: u64,
@@ -461,49 +476,23 @@ pub fn run_abae_multi_with_ci_stratified<O: Oracle, R: Rng + ?Sized>(
     Ok(MultiAggResult { answers, oracle_calls: run.oracle_calls })
 }
 
-/// Stream tag for the forked snapshot-CI RNG, mixed with the budget spent.
-/// Intermediate CIs must not consume the caller's stream, or snapshot
-/// boundaries would change the final answer.
-const SNAPSHOT_STREAM: u64 = 0x5E55_3003;
-
-/// The forked RNG used for one intermediate snapshot's bootstrap: a pure
-/// function of the budget spent, independent of chunk size and threads.
-/// Shared with the group-by progressive executor.
-pub(crate) fn snapshot_rng(budget_spent: u64) -> StdRng {
-    // abae-lint: allow(rng_discipline) -- deterministic fork: the seed is a pure function of budget spent, deliberately independent of the caller's stream so snapshot cadence cannot perturb the final answer
-    StdRng::seed_from_u64(SNAPSHOT_STREAM ^ budget_spent.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Builds one intermediate snapshot from the merged per-stratum states:
-/// each stratum's canonical-order draws are built once and feed both its
-/// estimate (what [`StratumStats::estimate`] derives) and, with the forked
-/// snapshot RNG, the bootstrap CIs.
+/// each stratum's estimate (what [`StratumStats::estimate`] derives) feeds
+/// every aggregate's point estimate and its closed-form CI at `alpha`.
 fn snapshot_from_stats(
     stats: &[StratumStats],
-    sizes: &[usize],
     aggs: &[Aggregate],
-    config: &AbaeConfig,
+    alpha: f64,
     budget_spent: u64,
 ) -> Snapshot {
-    let samples: Vec<Vec<Labeled>> = stats.iter().map(StratumStats::labeled).collect();
-    let estimates: Vec<StratumEstimate> = stats
-        .iter()
-        .zip(&samples)
-        .map(|(s, draws)| StratumEstimate::from_draws(s.size(), draws))
-        .collect();
-    let mut fork = snapshot_rng(budget_spent);
-    let cis = bootstrap_cis_on(
-        ReplicateThreads::FreeCores,
-        &samples,
-        sizes,
-        aggs,
-        &config.bootstrap,
-        &mut fork,
-    );
+    let estimates: Vec<StratumEstimate> = stats.iter().map(StratumStats::estimate).collect();
     let answers = aggs
         .iter()
-        .zip(cis)
-        .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &estimates), ci })
+        .map(|&agg| AggAnswer {
+            agg,
+            estimate: combine_estimate(agg, &estimates),
+            ci: closed_form_ci(agg, &estimates, alpha),
+        })
         .collect();
     Snapshot { answers, budget_spent, done: false }
 }
@@ -520,10 +509,16 @@ fn snapshot_from_stats(
 ///   any chunk size and any thread count. The returned result equals that
 ///   final snapshot.
 /// * With [`ProgressiveOptions::target_ci_width`] set, the run stops at
-///   the first chunk boundary — once the pilot stage is complete — where
-///   the primary (first) aggregate's snapshot CI is narrower than the
-///   target, charging only the budget actually consumed; the final
-///   snapshot is the one that met the target.
+///   the first chunk boundary — once the pilot stage is complete and the
+///   merged strata hold a positive — where the primary (first)
+///   aggregate's closed-form snapshot CI is narrower than the target,
+///   charging only the budget actually consumed; the answer is the
+///   snapshot that met the target. A snapshot without a CI never stops
+///   the run.
+/// * Intermediate snapshots carry closed-form CIs and read no RNG; a run
+///   that spends its cap ends with the bootstrap, so
+///   [`crate::config::BootstrapConfig::trials`] sets only that final
+///   answer's CI.
 ///
 /// This validates `config` and `progressive`, stratifies the scores
 /// (`ABaeInit`) and runs [`run_abae_multi_progressive_stratified`].
@@ -583,13 +578,13 @@ pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
     let mut stopping: Option<Snapshot> = None;
     let run = {
         let mut observe = |stats: &[StratumStats], spent: u64, pilot_complete: bool| -> bool {
-            let mut snap = snapshot_from_stats(stats, &sizes, aggs, config, spent);
+            let mut snap = snapshot_from_stats(stats, aggs, config.bootstrap.alpha, spent);
             // The stopping rule only applies once the pilot stage is
             // complete: partial-pilot CIs can degenerate to zero width
             // (e.g. an all-negative first stratum) and would stop bogusly.
             // For the same reason it never stops while the merged strata
-            // hold no positive: every replicate is then 0, and the CI is a
-            // degenerate [0, 0] at any spend.
+            // hold no positive: an `AVG` then has no CI, and a `COUNT` or
+            // `SUM` has a degenerate [0, 0] at any spend.
             let positives = stats.iter().any(|s| s.positives() > 0);
             let stop = match (target, snap.answers.first().and_then(|a| a.ci)) {
                 (Some(w), Some(ci)) => pilot_complete && positives && ci.width() < w,
@@ -1118,5 +1113,166 @@ mod tests {
             }
         }
         assert!(covered as f64 / trials as f64 > 0.8, "coverage {covered}/{trials}");
+    }
+
+    /// Every observer boundary of a run: the snapshot CIs that
+    /// `closed_form_ci` gives over the merged states' estimates, recorded
+    /// from the chunked core itself with an observer that never stops.
+    fn reference_snapshot_cis(
+        strat: &Stratification,
+        oracle: &(impl Oracle + ?Sized),
+        cfg: &AbaeConfig,
+        aggs: &[Aggregate],
+        chunk: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(u64, Vec<Option<ConfidenceInterval>>)> {
+        let mut seen = Vec::new();
+        two_stage_chunked(strat, oracle, cfg, chunk, rng, &mut |stats, spent, _| {
+            let estimates: Vec<StratumEstimate> = stats
+                .iter()
+                .map(|s| StratumEstimate::from_draws(s.size(), &s.labeled()))
+                .collect();
+            let cis = aggs
+                .iter()
+                .map(|&agg| closed_form_ci(agg, &estimates, cfg.bootstrap.alpha))
+                .collect();
+            seen.push((spent, cis));
+            false
+        });
+        seen
+    }
+
+    fn ci_bits(ci: Option<ConfidenceInterval>) -> Option<[u64; 3]> {
+        ci.map(|c| [c.lo.to_bits(), c.hi.to_bits(), c.confidence.to_bits()])
+    }
+
+    #[test]
+    fn intermediate_snapshots_carry_the_closed_form_ci_of_the_merged_strata() {
+        let (scores, labels, values) = make_population(10_000);
+        let cfg = AbaeConfig {
+            budget: 900,
+            bootstrap: crate::config::BootstrapConfig { trials: 30, alpha: 0.1 },
+            ..Default::default()
+        };
+        let aggs = [Aggregate::Avg, Aggregate::Count, Aggregate::Sum];
+        let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+        for chunk in [1usize, 64, 4096] {
+            let want = reference_snapshot_cis(
+                &strat,
+                &oracle_for(labels.clone(), values.clone()),
+                &cfg,
+                &aggs,
+                chunk,
+                &mut StdRng::seed_from_u64(17),
+            );
+            let mut snaps: Vec<Snapshot> = Vec::new();
+            let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
+            run_abae_multi_progressive_stratified(
+                &strat,
+                &oracle_for(labels.clone(), values.clone()),
+                &cfg,
+                &aggs,
+                &opts,
+                &mut StdRng::seed_from_u64(17),
+                |s| snaps.push(s.clone()),
+            )
+            .unwrap();
+            let (last, intermediate) = snaps.split_last().expect("a final snapshot");
+            assert!(last.done, "chunk {chunk}");
+            assert_eq!(intermediate.len(), want.len(), "chunk {chunk}");
+            // At chunk 4096 the stage boundary is the one intermediate look.
+            assert_eq!(intermediate.len() == 1, chunk == 4096, "chunk {chunk}");
+            for (snap, (spent, cis)) in intermediate.iter().zip(&want) {
+                assert_eq!(snap.budget_spent, *spent, "chunk {chunk}");
+                let got: Vec<_> = snap.answers.iter().map(|a| ci_bits(a.ci)).collect();
+                let want: Vec<_> = cis.iter().map(|&ci| ci_bits(ci)).collect();
+                assert_eq!(got, want, "chunk {chunk}, spent {spent}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stopped_run_answers_with_its_stopping_snapshot() {
+        let (scores, labels, values) = make_population(20_000);
+        let cfg = AbaeConfig {
+            budget: 4000,
+            bootstrap: crate::config::BootstrapConfig { trials: 50, alpha: 0.05 },
+            ..Default::default()
+        };
+        let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+        let aggs = [Aggregate::Avg, Aggregate::Sum];
+        let want = reference_snapshot_cis(
+            &strat,
+            &oracle_for(labels.clone(), values.clone()),
+            &cfg,
+            &aggs,
+            100,
+            &mut StdRng::seed_from_u64(9),
+        );
+        let opts = ProgressiveOptions { chunk: Some(100), target_ci_width: Some(1.5) };
+        let oracle = oracle_for(labels, values);
+        let mut snaps: Vec<Snapshot> = Vec::new();
+        let result = run_abae_multi_progressive_stratified(
+            &strat,
+            &oracle,
+            &cfg,
+            &aggs,
+            &opts,
+            &mut StdRng::seed_from_u64(9),
+            |s| snaps.push(s.clone()),
+        )
+        .unwrap();
+        let stop = snaps.last().expect("a stopping snapshot");
+        assert!(stop.done && snaps.iter().filter(|s| s.done).count() == 1);
+        assert_eq!(result.answers, stop.answers, "the answer is the stopping snapshot");
+        assert_eq!(result.oracle_calls, stop.budget_spent);
+        assert!(result.oracle_calls < 4000, "spent {}", result.oracle_calls);
+        // The stopping snapshot is the closed form at its boundary, and the
+        // first boundary whose primary CI meets the target.
+        let at = want.iter().position(|(spent, _)| *spent == stop.budget_spent).unwrap();
+        let got: Vec<_> = stop.answers.iter().map(|a| ci_bits(a.ci)).collect();
+        let cis: Vec<_> = want[at].1.iter().map(|&ci| ci_bits(ci)).collect();
+        assert_eq!(got, cis);
+        assert!(stop.answers[0].ci.unwrap().width() < 1.5);
+        assert_eq!(snaps.len(), at + 1);
+    }
+
+    #[test]
+    fn a_full_budget_run_leaves_the_callers_stream_where_blocking_does() {
+        use rand::RngCore as _;
+        let (scores, labels, values) = make_population(8_000);
+        let cfg = AbaeConfig {
+            budget: 700,
+            bootstrap: crate::config::BootstrapConfig { trials: 40, alpha: 0.05 },
+            ..Default::default()
+        };
+        let aggs = [Aggregate::Avg, Aggregate::Count];
+        let mut blocking_rng = StdRng::seed_from_u64(13);
+        let blocking = run_abae_multi_with_ci(
+            &scores,
+            &oracle_for(labels.clone(), values.clone()),
+            &cfg,
+            &aggs,
+            &mut blocking_rng,
+        )
+        .unwrap();
+        for target in [None, Some(1e-9)] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut snapshots = 0usize;
+            let opts = ProgressiveOptions { chunk: Some(32), target_ci_width: target };
+            let progressive = run_abae_multi_progressive(
+                &scores,
+                &oracle_for(labels.clone(), values.clone()),
+                &cfg,
+                &aggs,
+                &opts,
+                &mut rng,
+                |_| snapshots += 1,
+            )
+            .unwrap();
+            assert!(snapshots > 2, "{target:?}");
+            assert_eq!(progressive, blocking, "{target:?}");
+            assert_eq!(rng.next_u64(), blocking_rng.clone().next_u64(), "{target:?}");
+        }
     }
 }

@@ -30,8 +30,11 @@ pub struct AggRow {
     pub expr: String,
     /// Point estimate (percent for `PERCENTAGE`).
     pub estimate: f64,
-    /// Bootstrap CI at the query's probability, on the same scale as the
-    /// estimate (scalar queries only).
+    /// CI at the query's probability, on the same scale as the estimate
+    /// (scalar queries only): the percentile bootstrap for a blocking
+    /// answer or an `UNTIL` run that spends its cap, the closed-form
+    /// (delta-method) interval for an intermediate snapshot or an `UNTIL`
+    /// run that stops early.
     pub ci: Option<ConfidenceInterval>,
 }
 
@@ -42,7 +45,11 @@ pub struct GroupRow {
     pub name: String,
     /// Estimated per-group aggregate.
     pub estimate: f64,
-    /// Per-group bootstrap CI, on the same scale as the estimate.
+    /// Per-group CI, on the same scale as the estimate: the percentile
+    /// bootstrap for a blocking or capped answer, the closed-form blend of
+    /// the group's stratifications for an intermediate snapshot or an
+    /// early stop (`None` when no stratification can estimate the group's
+    /// variance yet).
     pub ci: Option<ConfidenceInterval>,
 }
 
@@ -103,10 +110,13 @@ impl QueryResult {
 
 /// One progressive snapshot of an executing query: a statistically valid
 /// intermediate answer emitted after a labeling chunk. Rows mirror
-/// [`QueryResult::rows`] (same `PERCENTAGE` scaling, same CI semantics);
-/// `budget_spent` counts oracle labels actually charged so far. The final
-/// snapshot of a run that exhausts its budget (`done == true`) carries the
-/// same estimates and CIs as the blocking answer.
+/// [`QueryResult::rows`] (same `PERCENTAGE` scaling and confidence);
+/// `budget_spent` counts oracle labels actually charged so far. An
+/// intermediate snapshot's CIs are closed-form (delta-method), cheap
+/// enough to compute at every chunk; the final snapshot of a run that
+/// exhausts its budget (`done == true`) carries the same estimates and
+/// bootstrap CIs as the blocking answer, and an early stop's is the
+/// snapshot that met the target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySnapshot {
     /// Intermediate per-aggregate answers, in `SELECT`-list order.
@@ -839,6 +849,42 @@ mod explain_tests {
             .unwrap();
         assert!(plan.contains("not used by GROUP BY"), "{plan}");
         assert!(!plan.contains("verdicts cached"), "{plan}");
+    }
+
+    #[test]
+    fn explain_says_which_interval_each_answer_gets() {
+        let t = Table::builder("emails", vec![1.0, 2.0, 3.0, 4.0])
+            .predicate("is_spam", vec![true, false, true, false], vec![0.9, 0.1, 0.8, 0.2])
+            .build()
+            .unwrap();
+        let mut cat = Catalog::new();
+        cat.register_table(t);
+        let exec = Executor::new(&cat);
+        let ci_line = format!(
+            "ci     : percentile bootstrap, {} resamples, confidence 0.9",
+            exec.bootstrap_trials
+        );
+        let blocking = exec
+            .explain("SELECT AVG(links) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH PROBABILITY 0.9")
+            .unwrap();
+        assert!(blocking.lines().any(|l| l == ci_line), "{blocking}");
+        assert!(!blocking.contains("stop   :"), "{blocking}");
+        let until = exec
+            .explain(
+                "SELECT AVG(links) FROM emails WHERE is_spam \
+                 UNTIL CI WIDTH < 0.5 MAX ORACLE LIMIT 100 WITH PROBABILITY 0.9",
+            )
+            .unwrap();
+        let stop = until.lines().find(|l| l.starts_with("stop   :")).expect("a stop line");
+        assert!(
+            stop.ends_with(
+                "the oracle limit is a cap, not a target; snapshots carry a closed-form \
+                 (delta-method) CI at confidence 0.9, and a run that spends its cap ends \
+                 with the percentile bootstrap"
+            ),
+            "{stop}"
+        );
+        assert!(until.lines().any(|l| l == ci_line), "{until}");
     }
 
     #[test]

@@ -392,7 +392,7 @@ pub(crate) fn run_plan<R: Rng + ?Sized>(
 
 /// Executes a plan progressively: `on_snapshot` fires after every labeling
 /// chunk with a statistically valid intermediate answer for the same query
-/// (estimates from the labels so far; CIs from a forked RNG stream). When
+/// (estimates from the labels so far; closed-form CIs that read no RNG). When
 /// no `UNTIL CI WIDTH` target stops the run early, the returned result is
 /// bit-identical to [`run_plan`] with the same stream — snapshots change
 /// when progress is reported, never what is drawn.
@@ -728,18 +728,25 @@ pub(crate) fn explain_plan(
     }
     // The stopping rule, when the query is anytime: the budget above is a
     // cap, and labeling halts at the first chunk boundary (pilot complete)
-    // where every CI is narrower than the target.
+    // where every CI is narrower than the target. Snapshots, the stopping
+    // one included, carry closed-form CIs; only a run that spends its cap
+    // pays for the bootstrap the `ci` line describes.
+    let intervals = format!(
+        "snapshots carry a closed-form (delta-method) CI at confidence {}, and a run \
+         that spends its cap ends with the percentile bootstrap",
+        effective_probability(query, bindings).map_or_else(|_| "?".to_string(), |p| p.to_string()),
+    );
     match effective_width(query, bindings) {
         Ok(Some(w)) => lines.push(format!(
             "stop   : UNTIL CI WIDTH < {w} — anytime execution in chunks of {}; \
-             the oracle limit is a cap, not a target",
+             the oracle limit is a cap, not a target; {intervals}",
             opts.exec.batch_size,
         )),
         Ok(None) => {}
-        Err(_) => lines.push(
-            "stop   : UNTIL CI WIDTH < ? (placeholder — bind with Prepared::with_ci_width)"
-                .to_string(),
-        ),
+        Err(_) => lines.push(format!(
+            "stop   : UNTIL CI WIDTH < ? (placeholder — bind with Prepared::with_ci_width); \
+             {intervals}"
+        )),
     }
     // Whether execution sorts the table: every score source shares one
     // cached stratification, built by the first run that needs it.
