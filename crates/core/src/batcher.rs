@@ -386,8 +386,9 @@ fn fair_take(
 /// wrapped per-query oracle **on the calling thread** — so invocation
 /// accounting (`calls`), simulated per-record latency, and label values
 /// all stay attributed to the requesting session exactly as without the
-/// batcher. With `batcher: None` the adapter is a transparent
-/// passthrough, which is what keeps the engine's plumbing one code path.
+/// batcher. The engine always passes its batcher; with `batcher: None`
+/// the adapter is a transparent passthrough, the ungoverned reference a
+/// test compares governed spend against.
 /// [`Oracle::stored_labels`] is forwarded unadmitted, so a label store
 /// beneath the adapter still packs its misses into full batches.
 pub struct GovernedOracle<'a, O> {

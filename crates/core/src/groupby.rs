@@ -143,6 +143,21 @@ pub struct GroupEstimate {
     pub estimate: f64,
 }
 
+/// A group estimate with a per-group CI.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroupEstimateWithCi {
+    /// Group id (index into the proxy list).
+    pub group: u16,
+    /// Estimated per-group average.
+    pub estimate: f64,
+    /// The CI: a stratified percentile bootstrap, widened to reach the
+    /// estimate, for a blocking or capped answer (`None` when the group's
+    /// samples are empty), closed-form for an intermediate or early-stopped
+    /// anytime snapshot (`None` when the group's estimate takes the
+    /// fallback path).
+    pub ci: Option<abae_stats::bootstrap::ConfidenceInterval>,
+}
+
 /// Per-(stratification, stratum, group) sample statistics.
 #[derive(Debug, Clone, Copy)]
 struct CellStats {
@@ -526,10 +541,28 @@ impl GroupReplicates {
             .map(|(gg, (estimate, mut reps))| GroupEstimateWithCi {
                 group: gg as u16,
                 estimate,
-                ci: abae_stats::bootstrap::percentile_ci(&mut reps, alpha),
+                ci: bracketing_ci(estimate, &mut reps, alpha),
             })
             .collect()
     }
+}
+
+/// The percentile CI of a group's replicate estimates, widened to reach the
+/// group's point estimate. The blend of a group whose labeled values are
+/// all equal can round one ulp to one side of that value while every
+/// replicate rounds to the other; widening keeps `lo <= estimate <= hi`.
+fn bracketing_ci(
+    estimate: f64,
+    replicates: &mut [f64],
+    alpha: f64,
+) -> Option<abae_stats::bootstrap::ConfidenceInterval> {
+    abae_stats::bootstrap::percentile_ci(replicates, alpha).map(|ci| {
+        abae_stats::bootstrap::ConfidenceInterval {
+            lo: ci.lo.min(estimate),
+            hi: ci.hi.max(estimate),
+            ..ci
+        }
+    })
 }
 
 impl Replicates for GroupReplicates {
@@ -1035,65 +1068,6 @@ pub fn groupby_multi_oracle<O: Oracle, R: Rng + ?Sized>(
     cfg: &GroupByConfig,
     rng: &mut R,
 ) -> Result<Vec<GroupEstimate>, GroupByError> {
-    Ok(multi_oracle_run(proxies, oracles, cfg, rng)?.0)
-}
-
-/// A group estimate with a per-group bootstrap CI.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupEstimateWithCi {
-    /// Group id (index into the proxy list).
-    pub group: u16,
-    /// Estimated per-group average.
-    pub estimate: f64,
-    /// The CI: a stratified percentile bootstrap for a blocking or capped
-    /// answer (`None` when the group's samples are empty), closed-form for
-    /// an intermediate or early-stopped anytime snapshot (`None` when the
-    /// group's estimate takes the fallback path).
-    pub ci: Option<abae_stats::bootstrap::ConfidenceInterval>,
-}
-
-/// ABae-GroupBy (multiple oracles) with per-group bootstrap CIs.
-///
-/// In this setting each group's draws are an independent stratified
-/// sample, so Algorithm 2 applies per group verbatim. (The single-oracle
-/// setting shares records across stratifications, which breaks the
-/// per-stratum independence Algorithm 2 resamples under; it deliberately
-/// has no `_with_ci` variant.)
-pub fn groupby_multi_oracle_with_ci<O: Oracle, R: Rng + ?Sized>(
-    proxies: &[&[f64]],
-    oracles: &[&O],
-    cfg: &GroupByConfig,
-    bootstrap: &crate::config::BootstrapConfig,
-    rng: &mut R,
-) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
-    let (estimates, draws, sizes) = multi_oracle_run(proxies, oracles, cfg, rng)?;
-    Ok(estimates
-        .into_iter()
-        .enumerate()
-        .map(|(l, est)| {
-            let ci = crate::bootstrap::stratified_bootstrap_ci(
-                &draws[l],
-                &sizes[l],
-                crate::config::Aggregate::Avg,
-                bootstrap,
-                rng,
-            );
-            GroupEstimateWithCi { group: est.group, estimate: est.estimate, ci }
-        })
-        .collect())
-}
-
-type MultiOracleRun = (Vec<GroupEstimate>, Vec<Vec<Vec<Labeled>>>, Vec<Vec<usize>>);
-
-/// Shared two-stage machinery of the multiple-oracle setting; returns the
-/// estimates plus, per group, the per-stratum draws and stratum sizes (the
-/// inputs Algorithm 2 needs).
-fn multi_oracle_run<O: Oracle, R: Rng + ?Sized>(
-    proxies: &[&[f64]],
-    oracles: &[&O],
-    cfg: &GroupByConfig,
-    rng: &mut R,
-) -> Result<MultiOracleRun, GroupByError> {
     let g = proxies.len();
     cfg.validate(g)?;
     if oracles.len() != g {
@@ -1164,7 +1138,6 @@ fn multi_oracle_run<O: Oracle, R: Rng + ?Sized>(
 
     // Stage 2: extend each group's without-replacement draws.
     let mut out = Vec::with_capacity(g);
-    let mut all_sizes = Vec::with_capacity(g);
     for l in 0..g {
         let budget_l = (lambda[l] * n2 as f64).floor() as usize;
         let per_stratum = floor_allocation(&t_hats[l], budget_l);
@@ -1182,9 +1155,8 @@ fn multi_oracle_run<O: Oracle, R: Rng + ?Sized>(
             group: l as u16,
             estimate: combine_estimate(crate::config::Aggregate::Avg, &ests),
         });
-        all_sizes.push(sizes);
     }
-    Ok((out, draws, all_sizes))
+    Ok(out)
 }
 
 /// Uniform baseline for the single-oracle setting: spend the whole budget
@@ -1449,7 +1421,7 @@ mod ci_tests {
     use crate::config::BootstrapConfig;
     use crate::normal_ci::closed_form_ci;
     use abae_stats::bootstrap::ConfidenceInterval;
-    use abae_data::{PredicateOracle, Table};
+    use abae_data::Table;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1483,37 +1455,6 @@ mod ci_tests {
             .group_key(vec!["g0".into(), "g1".into()], key)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn per_group_cis_bracket_estimates_and_cover_truth() {
-        let t = two_group_table(30_000, 1);
-        let o0 = PredicateOracle::new(&t, "g0").unwrap();
-        let o1 = PredicateOracle::new(&t, "g1").unwrap();
-        let proxies: Vec<&[f64]> =
-            t.predicates().iter().map(|p| p.proxy()).collect();
-        let cfg = GroupByConfig { budget: 6000, ..Default::default() };
-        let bs = BootstrapConfig { trials: 300, alpha: 0.05 };
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut covered = [0usize; 2];
-        let trials = 20;
-        for _ in 0..trials {
-            let ests =
-                groupby_multi_oracle_with_ci(&proxies, &[&o0, &o1], &cfg, &bs, &mut rng)
-                    .unwrap();
-            assert_eq!(ests.len(), 2);
-            for e in &ests {
-                let ci = e.ci.expect("samples are non-empty");
-                assert!(ci.lo <= e.estimate && e.estimate <= ci.hi);
-                let exact = t.exact_group_avg(e.group).unwrap();
-                if ci.contains(exact) {
-                    covered[e.group as usize] += 1;
-                }
-            }
-        }
-        for (g, &c) in covered.iter().enumerate() {
-            assert!(c >= 16, "group {g} coverage {c}/{trials}");
-        }
     }
 
     #[test]
@@ -1722,28 +1663,6 @@ mod ci_tests {
         assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::ZeroStrata));
     }
 
-    #[test]
-    fn with_ci_point_estimates_match_plain_variant() {
-        let t = two_group_table(20_000, 3);
-        let o0 = PredicateOracle::new(&t, "g0").unwrap();
-        let o1 = PredicateOracle::new(&t, "g1").unwrap();
-        let proxies: Vec<&[f64]> =
-            t.predicates().iter().map(|p| p.proxy()).collect();
-        let cfg = GroupByConfig { budget: 3000, ..Default::default() };
-        let bs = BootstrapConfig { trials: 50, alpha: 0.05 };
-        // Same RNG stream → the sampling phase must be identical; the CI
-        // variant merely appends bootstrap draws afterwards.
-        let mut rng = StdRng::seed_from_u64(4);
-        let plain = groupby_multi_oracle(&proxies, &[&o0, &o1], &cfg, &mut rng).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let with_ci =
-            groupby_multi_oracle_with_ci(&proxies, &[&o0, &o1], &cfg, &bs, &mut rng).unwrap();
-        for (a, b) in plain.iter().zip(&with_ci) {
-            assert_eq!(a.group, b.group);
-            assert_eq!(a.estimate, b.estimate);
-        }
-    }
-
     /// Group `g`'s cell of one bucket, one cache lookup per id: the
     /// per-group pass the one-pass cells replaced, kept as their reference.
     fn reference_cell(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
@@ -1870,7 +1789,7 @@ mod ci_tests {
             .map(|(gg, (estimate, mut reps))| GroupEstimateWithCi {
                 group: gg as u16,
                 estimate,
-                ci: abae_stats::bootstrap::percentile_ci(&mut reps, bootstrap.alpha),
+                ci: bracketing_ci(estimate, &mut reps, bootstrap.alpha),
             })
             .collect()
     }

@@ -31,7 +31,6 @@ pub mod features;
 pub mod keyword;
 pub mod logistic;
 pub mod metrics;
-pub mod naive_bayes;
 pub mod proxy;
 
 pub use calibration::{expected_calibration_error, reliability_bins, PlattScaler};
@@ -39,5 +38,4 @@ pub use features::{tokenize, HashingVectorizer};
 pub use keyword::KeywordProxy;
 pub use logistic::{LogisticRegression, TrainOptions};
 pub use metrics::{accuracy, auc, brier_score};
-pub use naive_bayes::NaiveBayes;
 pub use proxy::{Calibrated, KeywordModel, LogisticModel, ModelSummary, ProxyModel};

@@ -26,8 +26,8 @@
 use crate::ast::{CreateProxyStmt, ProxyFamily};
 use crate::catalog::Catalog;
 use crate::engine::EngineOptions;
-use crate::exec::QueryError;
 use crate::plan::{governor_key, predicate_key, ExecCtx};
+use crate::result::QueryError;
 use abae_core::batcher::GovernedOracle;
 use abae_core::multipred::{expression_oracle, PredExpr};
 use abae_core::pipeline;
@@ -143,7 +143,7 @@ pub(crate) fn run_create_proxy<R: Rng + ?Sized>(
     // queries over the same (table, predicate).
     let oracle = GovernedOracle::new(
         expression_oracle(table, &expr).map_err(QueryError::Table)?,
-        ctx.batcher,
+        Some(ctx.batcher),
         governor_key(&stmt.table, &pred_key),
         ctx.session,
     );
@@ -278,7 +278,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let opts = EngineOptions::default();
         let proxy =
-            run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Logistic)), &opts, &mut rng, &ExecCtx::detached())
+            run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Logistic)), &opts, &mut rng, &ExecCtx::for_tests())
                 .unwrap();
         assert_eq!(proxy.scores.len(), 2000);
         assert_eq!(proxy.train_limit, 400);
@@ -299,7 +299,7 @@ mod tests {
         catalog.register_table(text_table(2000));
         let mut rng = StdRng::seed_from_u64(2);
         let proxy =
-            run_create_proxy(&catalog, &stmt(None), &EngineOptions::default(), &mut rng, &ExecCtx::detached())
+            run_create_proxy(&catalog, &stmt(None), &EngineOptions::default(), &mut rng, &ExecCtx::for_tests())
                 .unwrap();
         assert!(proxy.auto_selected);
         // Whatever won must be informative on this separable corpus.
@@ -319,7 +319,7 @@ mod tests {
                 ..EngineOptions::default()
             };
             let mut rng = StdRng::seed_from_u64(7);
-            run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Keyword)), &opts, &mut rng, &ExecCtx::detached())
+            run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Keyword)), &opts, &mut rng, &ExecCtx::for_tests())
                 .unwrap()
         };
         let reference = run(1, 64);
@@ -342,7 +342,7 @@ mod tests {
             &CreateProxyStmt { train_limit: Some(300), ..stmt(Some(ProxyFamily::Keyword)) },
             &EngineOptions::default(),
             &mut rng,
-            &ExecCtx::detached(),
+            &ExecCtx::for_tests(),
         )
         .unwrap();
         assert_eq!(proxy.oracle_spend, 300);
@@ -355,7 +355,7 @@ mod tests {
             &CreateProxyStmt { train_limit: Some(300), ..stmt(Some(ProxyFamily::Keyword)) },
             &EngineOptions::default(),
             &mut rng,
-            &ExecCtx::detached(),
+            &ExecCtx::for_tests(),
         )
         .unwrap();
         assert_eq!(again.oracle_spend, 0, "warm store answers the training draw");
@@ -371,25 +371,25 @@ mod tests {
         let missing_table =
             CreateProxyStmt { table: "nowhere".to_string(), ..stmt(None) };
         assert!(matches!(
-            run_create_proxy(&catalog, &missing_table, &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&catalog, &missing_table, &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::UnknownTable(t)) if t == "nowhere"
         ));
         let missing_pred =
             CreateProxyStmt { predicate: "mystery".to_string(), ..stmt(None) };
         assert!(matches!(
-            run_create_proxy(&catalog, &missing_pred, &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&catalog, &missing_pred, &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::UnresolvedPredicate { atom, .. }) if atom == "mystery"
         ));
         let zero = CreateProxyStmt { train_limit: Some(0), ..stmt(None) };
         assert!(matches!(
-            run_create_proxy(&catalog, &zero, &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&catalog, &zero, &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::Unsupported(msg)) if msg.contains("TRAIN LIMIT")
         ));
         // A name that a column or binding already answers would shadow the
         // trained artifact at USING-resolution time — rejected up front.
         let shadowing = CreateProxyStmt { name: "is_spam".to_string(), ..stmt(None) };
         assert!(matches!(
-            run_create_proxy(&catalog, &shadowing, &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&catalog, &shadowing, &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::Unsupported(msg)) if msg.contains("already a predicate column")
         ));
         let mut bound = Catalog::new();
@@ -397,7 +397,7 @@ mod tests {
         bound.bind_predicate("emails", "spamish", "is_spam");
         let shadowing_binding = CreateProxyStmt { name: "spamish".to_string(), ..stmt(None) };
         assert!(matches!(
-            run_create_proxy(&bound, &shadowing_binding, &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&bound, &shadowing_binding, &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::Unsupported(msg)) if msg.contains("binding")
         ));
         // A table without texts cannot train.
@@ -409,9 +409,28 @@ mod tests {
                 .unwrap(),
         );
         assert!(matches!(
-            run_create_proxy(&no_texts, &stmt(None), &opts, &mut rng, &ExecCtx::detached()),
+            run_create_proxy(&no_texts, &stmt(None), &opts, &mut rng, &ExecCtx::for_tests()),
             Err(QueryError::Unsupported(msg)) if msg.contains("text payloads")
         ));
+    }
+
+    #[test]
+    fn create_proxy_spend_lands_on_the_session_ledger() {
+        let engine = crate::Engine::builder().table(text_table(2000)).build();
+        let spend = |session: u64| {
+            let ledger = engine.stats().per_session_spend;
+            ledger.iter().find(|&&(s, _)| s == session).map_or(0, |&(_, n)| n)
+        };
+        let before = spend(5);
+        let outcome = engine
+            .session_with_id(5)
+            .run("CREATE PROXY spamnet ON emails(is_spam) USING logistic TRAIN LIMIT 400")
+            .unwrap();
+        let crate::StatementOutcome::ProxyCreated(proxy) = outcome else {
+            panic!("expected a trained proxy, got {outcome:?}");
+        };
+        assert_eq!(proxy.oracle_spend, 400);
+        assert_eq!(spend(5) - before, proxy.oracle_spend, "training spend is booked to session 5");
     }
 
     #[test]
@@ -421,7 +440,7 @@ mod tests {
         let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(5);
         assert!(run_show_proxies(&catalog, None).unwrap().is_empty());
-        run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Keyword)), &opts, &mut rng, &ExecCtx::detached())
+        run_create_proxy(&catalog, &stmt(Some(ProxyFamily::Keyword)), &opts, &mut rng, &ExecCtx::for_tests())
             .unwrap();
         let listed = run_show_proxies(&catalog, Some("emails")).unwrap();
         assert_eq!(listed.len(), 1);

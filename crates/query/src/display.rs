@@ -2,7 +2,7 @@
 //!
 //! [`Query`] and [`BoolExpr`] render back to the dialect's syntax (so
 //! programmatically built queries can be logged and re-parsed), and
-//! [`crate::exec::Executor::explain`] describes the physical plan — which
+//! [`crate::Session::explain`] describes the physical plan — which
 //! algorithm will run, the resolved predicate columns, and how the oracle
 //! budget splits across stages — without spending any oracle calls.
 

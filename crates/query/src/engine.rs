@@ -36,6 +36,7 @@
 //! ```
 
 use crate::catalog::Catalog;
+use crate::plan::ExecCtx;
 use crate::session::Session;
 use abae_core::batcher::{BatcherOptions, BatcherStats, OracleBatcher};
 use abae_core::pipeline::ExecOptions;
@@ -45,9 +46,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Engine-owned tuning defaults, applied to every statement a session
-/// executes. The seed's `Executor` read `ABAE_THREADS`/`ABAE_BATCH` from
-/// the environment at each call site; the engine resolves [`ExecOptions`]
-/// **once** at build time and owns the value from then on.
+/// executes. The engine resolves [`ExecOptions`] (which honors
+/// `ABAE_THREADS`/`ABAE_BATCH`) **once** at build time and owns the value
+/// from then on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
     /// Strata count `K` for every query (Figure 10 default: 5).
@@ -233,6 +234,12 @@ impl Engine {
         }
     }
 
+    /// The context a statement of session `session` runs under: the
+    /// engine's batcher admits its labeling and books its spend.
+    pub(crate) fn ctx(&self, session: u64) -> ExecCtx<'_> {
+        ExecCtx { session, batcher: &self.inner.batcher }
+    }
+
     /// RNG seed for session `id`'s stream.
     pub(crate) fn session_seed(&self, id: u64) -> u64 {
         mix_seed(mix_seed(self.inner.seed, SESSION_STREAM), id)
@@ -250,8 +257,7 @@ impl Engine {
 /// Builds an [`Engine`]: tables, predicate bindings, label-cache policy,
 /// tuning defaults, and the seed policy, then freezes them behind an
 /// `Arc`. Adopt an existing [`Catalog`] wholesale with
-/// [`EngineBuilder::from_catalog`] when migrating from the deprecated
-/// `Executor`.
+/// [`EngineBuilder::from_catalog`].
 #[derive(Debug)]
 pub struct EngineBuilder {
     catalog: Catalog,

@@ -11,7 +11,7 @@
 //! The `SELECT` list may name several aggregates; all of them are answered
 //! from **one** shared sampling-and-labeling pass, so a three-aggregate
 //! query spends exactly the oracle budget of a one-aggregate query
-//! ([`exec::QueryResult::rows`] carries one row per aggregate). When the
+//! ([`QueryResult::rows`] carries one row per aggregate). When the
 //! catalog's cross-query label cache is on ([`Catalog::enable_label_cache`]),
 //! repeated queries over the same table and predicate reuse cached oracle
 //! verdicts and spend budget only on unseen records.
@@ -85,11 +85,6 @@
 //! intermediate answer as a [`QuerySnapshot`] stream; without an early
 //! stop, the final snapshot is bit-identical to the blocking answer for
 //! any thread count or chunk size.
-//!
-//! Migration from the seed API: `Executor::new(&catalog)` + caller RNG
-//! becomes `EngineBuilder::from_catalog(catalog).seed(s).build()` +
-//! `engine.session()`. The old borrow-based [`Executor`] remains as a
-//! deprecated shim with unchanged behavior.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -99,11 +94,11 @@ pub mod catalog;
 mod ddl;
 pub mod display;
 pub mod engine;
-pub mod exec;
 pub mod lexer;
 pub mod parser;
 mod plan;
 pub mod prepared;
+pub mod result;
 pub mod session;
 mod strata_cache;
 
@@ -114,11 +109,9 @@ pub use catalog::Catalog;
 pub use ddl::DEFAULT_TRAIN_LIMIT;
 pub use abae_core::batcher::{BatcherOptions, BatcherStats, OracleBatcher};
 pub use engine::{Engine, EngineBuilder, EngineOptions, EngineStats};
-#[allow(deprecated)]
-pub use exec::Executor;
-pub use exec::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot, StatementOutcome};
 pub use parser::{parse_query, parse_statement};
 pub use plan::ScoreSource;
 pub use prepared::{Prepared, ProgressiveRun};
+pub use result::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot, StatementOutcome};
 pub use session::Session;
 pub use strata_cache::StrataCache;

@@ -1024,7 +1024,7 @@ mod robustness {
         let catalog = catalog();
         if let Ok(plan) = plan_query(&catalog, &query) {
             let opts = EngineOptions::default();
-            let _ = explain_plan(&catalog, &plan, &opts, &Bindings::default(), &ExecCtx::detached());
+            let _ = explain_plan(&catalog, &plan, &opts, &Bindings::default(), &ExecCtx::for_tests());
         }
     }
 }

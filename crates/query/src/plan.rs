@@ -9,9 +9,7 @@
 //!   without re-parsing or re-planning;
 //! * `EXPLAIN` ([`explain_plan`]) renders the *same* plan `run_plan`
 //!   executes, so the printed strategy, budget split, and cache occupancy
-//!   can never drift from what actually runs;
-//! * the deprecated [`crate::Executor`] shim plans per call, preserving
-//!   its historical behavior bit for bit.
+//!   can never drift from what actually runs.
 //!
 //! All randomness stays in the caller-supplied RNG; planning itself is
 //! deterministic and spends no oracle calls.
@@ -19,7 +17,7 @@
 use crate::ast::Query;
 use crate::catalog::Catalog;
 use crate::engine::EngineOptions;
-use crate::exec::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot};
+use crate::result::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot};
 use abae_core::batcher::{GovernedOracle, OracleBatcher};
 use abae_core::config::{AbaeConfig, Aggregate, BootstrapConfig};
 use abae_core::groupby::{
@@ -45,22 +43,23 @@ use std::sync::Arc;
 /// [`GovernedOracle`] carrying this context, so concurrent sessions'
 /// label requests for the same `(table, predicate)` can be coalesced into
 /// shared invocations and per-session spend is attributed on the batcher's
-/// ledger. With `batcher: None` (the deprecated `Executor` shim) the wrap
-/// is a transparent passthrough — behavior is byte-identical to the
-/// pre-governor engine.
+/// ledger.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
-    /// Requesting session id (0 for detached/legacy callers).
+    /// Requesting session id.
     pub session: u64,
-    /// The engine's batcher, or `None` for detached callers.
-    pub batcher: Option<&'a OracleBatcher>,
+    /// The engine's batcher.
+    pub batcher: &'a OracleBatcher,
 }
 
-impl ExecCtx<'_> {
-    /// A context with no batcher and session 0 — the deprecated
-    /// `Executor` shim's view of the world, preserved bit for bit.
-    pub fn detached() -> ExecCtx<'static> {
-        ExecCtx { session: 0, batcher: None }
+#[cfg(test)]
+impl ExecCtx<'static> {
+    /// Session 0 over a default batcher, for tests that run the planner
+    /// without an engine.
+    pub fn for_tests() -> Self {
+        static BATCHER: std::sync::OnceLock<OracleBatcher> = std::sync::OnceLock::new();
+        let batcher = BATCHER.get_or_init(|| OracleBatcher::new(Default::default()));
+        ExecCtx { session: 0, batcher }
     }
 }
 
@@ -436,7 +435,7 @@ fn run_plan_inner<R: Rng + ?Sized>(
             // the misses are cut into batches (cache-aware scheduling).
             let oracle = GovernedOracle::new(
                 expression_oracle(table, expr).map_err(QueryError::Table)?,
-                ctx.batcher,
+                Some(ctx.batcher),
                 governor_key(&query.table, pred_key),
                 ctx.session,
             );
@@ -494,12 +493,9 @@ fn run_plan_inner<R: Rng + ?Sized>(
                 ),
             };
             if cache_hits > 0 {
-                if let Some(batcher) = ctx.batcher {
-                    // Cache-served records never reached the batcher;
-                    // report them so EXPLAIN/stats show the slots the warm
-                    // store saved.
-                    batcher.note_cache_served(cache_hits);
-                }
+                // Cache-served records never reached the batcher; report
+                // them so EXPLAIN/stats show the slots the warm store saved.
+                ctx.batcher.note_cache_served(cache_hits);
             }
             let rows = agg_rows(query, &multi);
             Ok(QueryResult::new(rows, multi.oracle_calls, cache_hits, cache_misses, None))
@@ -564,7 +560,7 @@ fn run_groupby<R: Rng + ?Sized>(
     // shared across sessions.
     let oracle = GovernedOracle::new(
         SingleGroupOracle::new(table).expect("group key validated at plan time"),
-        ctx.batcher,
+        Some(ctx.batcher),
         governor_group_key(&query.table),
         ctx.session,
     );
@@ -787,29 +783,26 @@ pub(crate) fn explain_plan(
         ),
         (None, _) => "cache  : label store disabled (Catalog::enable_label_cache)".to_string(),
     });
-    // The engine's oracle batcher, when this statement runs under one
-    // (sessions and prepared statements do; the deprecated Executor shim
-    // does not): coalescing mode and the engine-lifetime counters.
-    if let Some(batcher) = ctx.batcher {
-        let stats = batcher.stats();
-        lines.push(if batcher.options().coalesce {
-            format!(
-                "oracle : governed, coalescing on — {} invocations for {} requests \
-                 ({} shared batches, {} requests coalesced, {} records cache-served)",
-                stats.invocations,
-                stats.requests,
-                stats.shared_batches,
-                stats.coalesced_requests,
-                stats.cache_served,
-            )
-        } else {
-            format!(
-                "oracle : governed, coalescing off — every request is its own \
-                 invocation ({} so far, {} records cache-served)",
-                stats.invocations, stats.cache_served,
-            )
-        });
-    }
+    // The engine's oracle batcher: coalescing mode and the engine-lifetime
+    // counters.
+    let stats = ctx.batcher.stats();
+    lines.push(if ctx.batcher.options().coalesce {
+        format!(
+            "oracle : governed, coalescing on — {} invocations for {} requests \
+             ({} shared batches, {} requests coalesced, {} records cache-served)",
+            stats.invocations,
+            stats.requests,
+            stats.shared_batches,
+            stats.coalesced_requests,
+            stats.cache_served,
+        )
+    } else {
+        format!(
+            "oracle : governed, coalescing off — every request is its own \
+             invocation ({} so far, {} records cache-served)",
+            stats.invocations, stats.cache_served,
+        )
+    });
     match effective_probability(query, bindings) {
         Ok(p) => lines.push(format!(
             "ci     : percentile bootstrap, {} resamples, confidence {}",
@@ -1010,13 +1003,13 @@ mod tests {
             &EngineOptions::default(),
             &Bindings::default(),
             &mut rng,
-            &ExecCtx::detached(),
+            &ExecCtx::for_tests(),
         )
         .unwrap_err();
         assert!(matches!(err, QueryError::UnboundParameter("ORACLE LIMIT ?")), "{err}");
         // Binding the parameter makes the same plan runnable.
         let bound = Bindings { oracle_limit: Some(50), ..Default::default() };
-        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::detached())
+        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::for_tests())
             .unwrap();
         assert!(r.oracle_calls <= 50);
     }
@@ -1073,12 +1066,12 @@ mod tests {
             &EngineOptions::default(),
             &Bindings::default(),
             &mut rng,
-            &ExecCtx::detached(),
+            &ExecCtx::for_tests(),
         )
         .unwrap_err();
         assert!(matches!(err, QueryError::UnboundParameter("UNTIL CI WIDTH < ?")), "{err}");
         let bound = Bindings { until_width: Some(1000.0), ..Default::default() };
-        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::detached())
+        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::for_tests())
             .unwrap();
         assert!(r.oracle_calls <= 50);
     }

@@ -8,14 +8,15 @@
 //! stream and the store already holds every verdict it draws.
 //!
 //! Parameters deferred with `?` in the SQL (`ORACLE LIMIT ?`,
-//! `WITH PROBABILITY ?`) are bound with [`Prepared::with_budget`] /
-//! [`Prepared::with_probability`]; a bound value also overrides a literal,
-//! so one prepared statement can sweep budgets.
+//! `WITH PROBABILITY ?`, `UNTIL CI WIDTH < ?`) are bound with
+//! [`Prepared::with_budget`] / [`Prepared::with_probability`] /
+//! [`Prepared::with_ci_width`]; a bound value also overrides a literal, so
+//! one prepared statement can sweep budgets.
 
 use crate::ast::Query;
 use crate::engine::Engine;
-use crate::exec::{QueryError, QueryResult, QuerySnapshot};
-use crate::plan::{explain_plan, run_plan, run_plan_progressive, Bindings, ExecCtx, QueryPlan};
+use crate::plan::{explain_plan, run_plan, run_plan_progressive, Bindings, QueryPlan};
+use crate::result::{QueryError, QueryResult, QuerySnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,10 +56,6 @@ impl Prepared {
         }
     }
 
-    fn ctx(&self) -> ExecCtx<'_> {
-        ExecCtx { session: self.session, batcher: Some(self.engine.batcher()) }
-    }
-
     /// Binds the oracle budget (`ORACLE LIMIT ?`), or overrides a literal
     /// one.
     pub fn with_budget(mut self, budget: usize) -> Self {
@@ -93,7 +90,7 @@ impl Prepared {
             self.engine.options(),
             &self.bindings(),
             &mut rng,
-            &self.ctx(),
+            &self.engine.ctx(self.session),
         )
     }
 
@@ -115,7 +112,7 @@ impl Prepared {
             self.engine.options(),
             &self.bindings(),
             &mut rng,
-            &self.ctx(),
+            &self.engine.ctx(self.session),
             &mut |snap| snapshots.push(snap.clone()),
         )?;
         Ok(ProgressiveRun { snapshots, result })
@@ -130,7 +127,7 @@ impl Prepared {
             &self.plan,
             self.engine.options(),
             &self.bindings(),
-            &self.ctx(),
+            &self.engine.ctx(self.session),
         )
     }
 

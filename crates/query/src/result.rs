@@ -1,25 +1,13 @@
-//! The deprecated borrow-based executor shim (and the query result types).
-//!
-//! Historically this module *was* the query layer: [`Executor`] borrowed a
-//! [`Catalog`], re-parsed its SQL on every call, and threaded a
-//! caller-owned RNG. The engine redesign moved planning and execution into
-//! the crate's shared `plan` module (one planner feeding `EXPLAIN`,
-//! [`crate::Session`],
-//! [`crate::Prepared`], and this shim); `Executor` survives as a thin
-//! deprecated adapter so existing call sites keep compiling and keep their
-//! exact RNG streams. New code should build an [`crate::Engine`] and open
-//! [`crate::Session`]s — see the crate docs for the migration note.
+//! What a statement answers: the result, snapshot and outcome types, and
+//! the errors every execution surface ([`crate::Session`],
+//! [`crate::Prepared`]) reports.
 
-use crate::ast::{AggFunc, Query};
-use crate::catalog::Catalog;
-use crate::engine::EngineOptions;
-use crate::parser::{parse_query, ParseError};
+use crate::ast::AggFunc;
+use crate::parser::ParseError;
 use abae_core::config::ConfigError;
 use abae_core::groupby::GroupByError;
-use abae_core::pipeline::ExecOptions;
 use abae_data::TableError;
 use abae_stats::bootstrap::ConfidenceInterval;
-use rand::Rng;
 
 /// One answered aggregate of the `SELECT` list.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +34,8 @@ pub struct GroupRow {
     /// Estimated per-group aggregate.
     pub estimate: f64,
     /// Per-group CI, on the same scale as the estimate: the percentile
-    /// bootstrap for a blocking or capped answer, the closed-form blend of
+    /// bootstrap, widened to reach the estimate, for a blocking or capped
+    /// answer, the closed-form blend of
     /// the group's stratifications for an intermediate snapshot or an
     /// early stop (`None` when no stratification can estimate the group's
     /// variance yet).
@@ -192,7 +181,8 @@ pub enum QueryError {
     },
     /// The query has a `?` placeholder that was never bound (the payload
     /// names the clause). Bind it with `Prepared::with_budget` /
-    /// `Prepared::with_probability`, or write a literal.
+    /// `Prepared::with_probability` / `Prepared::with_ci_width`, or write a
+    /// literal.
     UnboundParameter(&'static str),
     /// Proxy training failed (`CREATE PROXY`).
     Train(abae_ml::logistic::TrainError),
@@ -250,110 +240,10 @@ impl From<ParseError> for QueryError {
     }
 }
 
-/// Executes ABae queries against a borrowed catalog.
-///
-/// Deprecated: this is the seed's single-client API — it re-parses and
-/// re-plans every call and cannot be shared across threads. It is kept as
-/// a thin adapter over the same planner the engine uses, so behavior
-/// (including exact RNG streams) is unchanged; new code should use
-/// [`crate::Engine`] + [`crate::Session`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::builder() to build a shared engine and open Sessions \
-            (Prepared statements replace repeated execute calls)"
-)]
-#[derive(Debug)]
-pub struct Executor<'a> {
-    catalog: &'a Catalog,
-    /// Strata count `K` for every query (Figure 10 default: 5).
-    pub strata: usize,
-    /// Stage-1 fraction `C` (Figure 11 default: 0.5).
-    pub stage1_fraction: f64,
-    /// Bootstrap resamples `β` per CI.
-    pub bootstrap_trials: usize,
-    /// Oracle-labeling execution knobs (worker threads, batch size),
-    /// forwarded to every algorithm the executor routes to. Defaults honor
-    /// `ABAE_THREADS` / `ABAE_BATCH`; results are identical for any value.
-    pub exec: ExecOptions,
-}
-
-#[allow(deprecated)]
-impl<'a> Executor<'a> {
-    /// Creates an executor with the paper's default knobs.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        let defaults = EngineOptions::default();
-        Self {
-            catalog,
-            strata: defaults.strata,
-            stage1_fraction: defaults.stage1_fraction,
-            bootstrap_trials: defaults.bootstrap_trials,
-            exec: defaults.exec,
-        }
-    }
-
-    /// The executor's knobs as the planner's options bundle. The shim
-    /// never batches: its oracle requests run detached from any engine
-    /// governor, exactly as the seed behaved.
-    fn options(&self) -> EngineOptions {
-        EngineOptions {
-            strata: self.strata,
-            stage1_fraction: self.stage1_fraction,
-            bootstrap_trials: self.bootstrap_trials,
-            exec: self.exec,
-            batcher: abae_core::batcher::BatcherOptions::default(),
-        }
-    }
-
-    /// Parses and executes `sql`.
-    pub fn execute<R: Rng + ?Sized>(
-        &self,
-        sql: &str,
-        rng: &mut R,
-    ) -> Result<QueryResult, QueryError> {
-        let query = parse_query(sql)?;
-        self.execute_parsed(&query, rng)
-    }
-
-    /// `EXPLAIN`: describes the physical plan for `sql` — the chosen
-    /// algorithm, the resolved predicate columns, the budget split, and
-    /// the label-cache state — without spending any oracle calls. The
-    /// rendering consumes the same plan `execute` runs
-    /// (the shared `plan` module), so the output cannot drift from
-    /// execution.
-    pub fn explain(&self, sql: &str) -> Result<String, QueryError> {
-        let query = parse_query(sql)?;
-        let plan = crate::plan::plan_query(self.catalog, &query)?;
-        crate::plan::explain_plan(
-            self.catalog,
-            &plan,
-            &self.options(),
-            &crate::plan::Bindings::default(),
-            &crate::plan::ExecCtx::detached(),
-        )
-    }
-
-    /// Executes an already-parsed query.
-    pub fn execute_parsed<R: Rng + ?Sized>(
-        &self,
-        query: &Query,
-        rng: &mut R,
-    ) -> Result<QueryResult, QueryError> {
-        let plan = crate::plan::plan_query(self.catalog, query)?;
-        crate::plan::run_plan(
-            self.catalog,
-            &plan,
-            &self.options(),
-            &crate::plan::Bindings::default(),
-            rng,
-            &crate::plan::ExecCtx::detached(),
-        )
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{Catalog, EngineBuilder};
     use abae_data::Table;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -379,13 +269,12 @@ mod tests {
         let cat = catalog();
         let table = cat.table("emails").unwrap();
         let exact = table.exact_avg("is_spam").unwrap();
-        let exec = Executor { bootstrap_trials: 200, ..Executor::new(&cat) };
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = exec
+        let engine = EngineBuilder::from_catalog(cat).bootstrap_trials(200).build();
+        let r = engine
+            .session_with_id(1)
             .execute(
                 "SELECT AVG(nb_links) FROM emails WHERE is_spam \
                  ORACLE LIMIT 3000 WITH PROBABILITY 0.95",
-                &mut rng,
             )
             .unwrap();
         assert!((r.estimate() - exact).abs() < 0.3, "{} vs {exact}", r.estimate());
@@ -400,10 +289,10 @@ mod tests {
     #[test]
     fn executes_count_query() {
         let cat = catalog();
-        let exec = Executor { bootstrap_trials: 100, ..Executor::new(&cat) };
-        let mut rng = StdRng::seed_from_u64(2);
-        let r = exec
-            .execute("SELECT COUNT(*) FROM emails WHERE is_spam ORACLE LIMIT 4000", &mut rng)
+        let engine = EngineBuilder::from_catalog(cat).bootstrap_trials(100).build();
+        let r = engine
+            .session_with_id(2)
+            .execute("SELECT COUNT(*) FROM emails WHERE is_spam ORACLE LIMIT 4000")
             .unwrap();
         assert!((r.estimate() - 5000.0).abs() < 400.0, "{}", r.estimate());
     }
@@ -411,14 +300,12 @@ mod tests {
     #[test]
     fn multi_aggregate_query_answers_all_for_one_budget() {
         let cat = catalog();
-        let exec = Executor { bootstrap_trials: 100, ..Executor::new(&cat) };
+        let engine = EngineBuilder::from_catalog(cat).bootstrap_trials(100).build();
         let sql_multi = "SELECT COUNT(*), SUM(nb_links), AVG(nb_links) FROM emails \
                          WHERE is_spam ORACLE LIMIT 3000";
         let sql_single = "SELECT COUNT(*) FROM emails WHERE is_spam ORACLE LIMIT 3000";
-        let mut rng = StdRng::seed_from_u64(7);
-        let multi = exec.execute(sql_multi, &mut rng).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let single = exec.execute(sql_single, &mut rng).unwrap();
+        let multi = engine.session_with_id(7).execute(sql_multi).unwrap();
+        let single = engine.session_with_id(7).execute(sql_single).unwrap();
         // Shared labeling pass: 3 aggregates cost exactly 1 budget.
         assert_eq!(multi.oracle_calls, single.oracle_calls);
         assert_eq!(multi.rows.len(), 3);
@@ -439,13 +326,10 @@ mod tests {
     fn binds_atoms_through_the_catalog() {
         let mut cat = catalog();
         cat.bind_predicate("emails", "sentiment=spamish", "is_spam");
-        let exec = Executor { bootstrap_trials: 50, ..Executor::new(&cat) };
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = exec
-            .execute(
-                "SELECT AVG(x) FROM emails WHERE sentiment(text) = 'spamish' ORACLE LIMIT 1000",
-                &mut rng,
-            )
+        let engine = EngineBuilder::from_catalog(cat).bootstrap_trials(50).build();
+        let r = engine
+            .session_with_id(3)
+            .execute("SELECT AVG(x) FROM emails WHERE sentiment(text) = 'spamish' ORACLE LIMIT 1000")
             .unwrap();
         assert!(r.estimate() > 0.0);
     }
@@ -453,25 +337,23 @@ mod tests {
     #[test]
     fn error_paths_are_reported() {
         let cat = catalog();
-        let exec = Executor::new(&cat);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut session = EngineBuilder::from_catalog(cat).build().session_with_id(4);
         assert!(matches!(
-            exec.execute("SELECT AVG(x) FROM nowhere WHERE p ORACLE LIMIT 10", &mut rng),
+            session.execute("SELECT AVG(x) FROM nowhere WHERE p ORACLE LIMIT 10"),
             Err(QueryError::UnknownTable(t)) if t == "nowhere"
         ));
         assert!(matches!(
-            exec.execute("SELECT AVG(x) FROM emails WHERE mystery ORACLE LIMIT 10", &mut rng),
+            session.execute("SELECT AVG(x) FROM emails WHERE mystery ORACLE LIMIT 10"),
             Err(QueryError::UnresolvedPredicate { atom, .. }) if atom == "mystery"
         ));
         assert!(matches!(
-            exec.execute("SELECT oops", &mut rng),
+            session.execute("SELECT oops"),
             Err(QueryError::Parse(_))
         ));
         // Group-by on a table without a group key.
         assert!(matches!(
-            exec.execute(
-                "SELECT AVG(x) FROM emails WHERE is_spam GROUP BY kind ORACLE LIMIT 100",
-                &mut rng
+            session.execute(
+                "SELECT AVG(x) FROM emails WHERE is_spam GROUP BY kind ORACLE LIMIT 100"
             ),
             Err(QueryError::Unsupported(_))
         ));
@@ -480,31 +362,25 @@ mod tests {
     #[test]
     fn malformed_with_probability_is_a_parse_error() {
         let cat = catalog();
-        let exec = Executor::new(&cat);
-        let mut rng = StdRng::seed_from_u64(40);
+        let mut session = EngineBuilder::from_catalog(cat).build().session_with_id(40);
         // Non-numeric probability.
         assert!(matches!(
-            exec.execute(
+            session.execute(
                 "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 \
-                 WITH PROBABILITY banana",
-                &mut rng
+                 WITH PROBABILITY banana"
             ),
             Err(QueryError::Parse(_))
         ));
         // Clause cut off before the number.
         assert!(matches!(
-            exec.execute(
-                "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH PROBABILITY",
-                &mut rng
+            session.execute(
+                "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH PROBABILITY"
             ),
             Err(QueryError::Parse(_))
         ));
         // `WITH` without `PROBABILITY`.
         assert!(matches!(
-            exec.execute(
-                "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH 0.95",
-                &mut rng
-            ),
+            session.execute("SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH 0.95"),
             Err(QueryError::Parse(_))
         ));
     }
@@ -514,14 +390,13 @@ mod tests {
         // Parses fine, but 1 − p falls outside (0, 1) and config validation
         // reports it rather than panicking inside the bootstrap.
         let cat = catalog();
-        let exec = Executor::new(&cat);
-        let mut rng = StdRng::seed_from_u64(41);
+        let mut session = EngineBuilder::from_catalog(cat).build().session_with_id(41);
         for p in ["1.5", "0", "1"] {
             let sql = format!(
                 "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH PROBABILITY {p}"
             );
             assert!(
-                matches!(exec.execute(&sql, &mut rng), Err(QueryError::Config(_))),
+                matches!(session.execute(&sql), Err(QueryError::Config(_))),
                 "probability {p} should be rejected as a config error"
             );
         }
@@ -530,13 +405,10 @@ mod tests {
     #[test]
     fn using_a_missing_proxy_column_errors_instead_of_falling_back() {
         let cat = catalog();
-        let exec = Executor { bootstrap_trials: 50, ..Executor::new(&cat) };
-        let mut rng = StdRng::seed_from_u64(42);
-        let err = exec
-            .execute(
-                "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 500 USING mystery_scores",
-                &mut rng,
-            )
+        let mut session =
+            EngineBuilder::from_catalog(cat).bootstrap_trials(50).build().session_with_id(42);
+        let err = session
+            .execute("SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 500 USING mystery_scores")
             .unwrap_err();
         match err {
             QueryError::UnknownProxy { proxy, table, available } => {
@@ -550,11 +422,8 @@ mod tests {
             other => panic!("expected UnknownProxy, got {other:?}"),
         }
         // Positive control: a resolvable proxy still executes.
-        let r = exec
-            .execute(
-                "SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 500 USING is_spam",
-                &mut rng,
-            )
+        let r = session
+            .execute("SELECT AVG(x) FROM emails WHERE is_spam ORACLE LIMIT 500 USING is_spam")
             .unwrap();
         assert!(r.oracle_calls <= 500);
     }
@@ -601,14 +470,13 @@ mod tests {
         cat.register_table(grouped_table(20_000));
         cat.bind_predicate("images", "hair=gray", "is_gray");
         cat.bind_predicate("images", "hair=blond", "is_blond");
-        let exec = Executor::new(&cat);
-        let mut rng = StdRng::seed_from_u64(5);
-        let r = exec
+        let engine = EngineBuilder::from_catalog(cat).build();
+        let r = engine
+            .session_with_id(5)
             .execute(
                 "SELECT AVG(smile), hair FROM images \
                  WHERE hair(img) = 'gray' OR hair(img) = 'blond' \
                  GROUP BY hair(img) ORACLE LIMIT 3000",
-                &mut rng,
             )
             .unwrap();
         let rows = r.groups.unwrap();
@@ -640,14 +508,12 @@ mod tests {
         cat.register_table(grouped_table(1_000));
         cat.bind_predicate("images", "hair=gray", "is_gray");
         cat.bind_predicate("images", "hair=blond", "is_blond");
-        let exec = Executor::new(&cat);
-        let mut rng = StdRng::seed_from_u64(50);
+        let engine = EngineBuilder::from_catalog(cat).build();
         assert!(matches!(
-            exec.execute(
+            engine.session_with_id(50).execute(
                 "SELECT AVG(smile), COUNT(*), hair FROM images \
                  WHERE hair(img) = 'gray' OR hair(img) = 'blond' \
                  GROUP BY hair(img) ORACLE LIMIT 500",
-                &mut rng,
             ),
             Err(QueryError::Unsupported(_))
         ));
@@ -664,10 +530,10 @@ mod tests {
         let t = Table::builder("faces", values).predicate("p", labels, proxy).build().unwrap();
         let mut cat = Catalog::new();
         cat.register_table(t);
-        let exec = Executor { bootstrap_trials: 50, ..Executor::new(&cat) };
-        let mut rng = StdRng::seed_from_u64(6);
-        let r = exec
-            .execute("SELECT PERCENTAGE(is_smiling(img)) FROM faces WHERE p ORACLE LIMIT 2000", &mut rng)
+        let engine = EngineBuilder::from_catalog(cat).bootstrap_trials(50).build();
+        let r = engine
+            .session_with_id(6)
+            .execute("SELECT PERCENTAGE(is_smiling(img)) FROM faces WHERE p ORACLE LIMIT 2000")
             .unwrap();
         assert!(r.estimate() > 20.0 && r.estimate() < 50.0, "{}", r.estimate());
         let ci = r.ci().expect("scalar query CI");
@@ -684,11 +550,9 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod explain_tests {
-    use super::*;
+    use crate::{Catalog, Engine, EngineBuilder};
     use abae_data::Table;
-    use rand::SeedableRng;
 
     #[test]
     fn explain_describes_plan_without_oracle_calls() {
@@ -700,8 +564,9 @@ mod explain_tests {
             .unwrap();
         let mut cat = Catalog::new();
         cat.register_table(t);
-        let exec = Executor::new(&cat);
-        let plan = exec
+        let engine = EngineBuilder::from_catalog(cat).build();
+        let plan = engine
+            .session()
             .explain("SELECT AVG(links) FROM emails WHERE is_spam ORACLE LIMIT 1000")
             .unwrap();
         assert!(plan.contains("two-stage"), "{plan}");
@@ -719,12 +584,11 @@ mod explain_tests {
             .predicate("p", vec![true; 100], vec![0.5; 100])
             .build()
             .unwrap();
-        let mut cat = Catalog::new();
-        cat.register_table(t);
         for (strata, frac, limit) in [(5, 0.5, 1000), (7, 0.3, 999), (3, 0.9, 10)] {
-            let exec =
-                Executor { strata, stage1_fraction: frac, ..Executor::new(&cat) };
-            let plan = exec
+            let engine =
+                Engine::builder().table(t.clone()).strata(strata).stage1_fraction(frac).build();
+            let plan = engine
+                .session()
                 .explain(&format!("SELECT AVG(x) FROM t WHERE p ORACLE LIMIT {limit}"))
                 .unwrap();
             let split = abae_sampling::budget::stage_split(limit, frac, strata);
@@ -772,13 +636,17 @@ mod explain_tests {
             )
         };
 
-        let cat = catalog(5_000);
-        let exec = Executor::new(&cat);
+        let engine = EngineBuilder::from_catalog(catalog(5_000)).build();
+        let session = engine.session();
         for (limit, pilot, rest) in [(1000, 500, 500), (1003, 501, 502), (10, 5, 5)] {
-            let plan = exec.explain(&sql(limit)).unwrap();
+            let plan = session.explain(&sql(limit)).unwrap();
             assert_eq!(
                 pilot,
-                abae_core::groupby::single_oracle_pilot(limit, exec.stage1_fraction, 5_000)
+                abae_core::groupby::single_oracle_pilot(
+                    limit,
+                    engine.options().stage1_fraction,
+                    5_000
+                )
             );
             let expected = line(pilot, rest, limit);
             assert!(plan.contains(&expected), "{plan}\nexpected line: {expected}");
@@ -786,11 +654,11 @@ mod explain_tests {
 
         // A table smaller than the pilot caps it at the table size: the run
         // labels every record once and nothing more.
-        let small = catalog(100);
-        let exec = Executor { bootstrap_trials: 20, ..Executor::new(&small) };
-        let plan = exec.explain(&sql(1000)).unwrap();
+        let small = EngineBuilder::from_catalog(catalog(100)).bootstrap_trials(20).build();
+        let mut session = small.session_with_id(4);
+        let plan = session.explain(&sql(1000)).unwrap();
         assert!(plan.contains(&line(100, 900, 1000)), "{plan}");
-        let r = exec.execute(&sql(1000), &mut rand::rngs::StdRng::seed_from_u64(4)).unwrap();
+        let r = session.execute(&sql(1000)).unwrap();
         assert_eq!(r.oracle_calls, 100, "the pilot labeled the whole table");
     }
 
@@ -807,16 +675,16 @@ mod explain_tests {
         let mut cat = Catalog::new();
         cat.register_table(t);
         cat.enable_label_cache();
-        let exec = Executor { bootstrap_trials: 20, ..Executor::new(&cat) };
+        let mut session =
+            EngineBuilder::from_catalog(cat).bootstrap_trials(20).build().session_with_id(1);
         let sql = "SELECT COUNT(*), AVG(links) FROM emails WHERE is_spam ORACLE LIMIT 50";
-        let plan = exec.explain(sql).unwrap();
+        let plan = session.explain(sql).unwrap();
         assert!(plan.contains("2 aggregates"), "{plan}");
         assert!(plan.contains("label store enabled — 0 verdicts"), "{plan}");
         // Execute once, then EXPLAIN reflects the warm cache.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let r = exec.execute(sql, &mut rng).unwrap();
+        let r = session.execute(sql).unwrap();
         assert!(r.cache_misses > 0);
-        let plan = exec.explain(sql).unwrap();
+        let plan = session.explain(sql).unwrap();
         assert!(
             plan.contains(&format!("label store enabled — {} verdicts", r.cache_misses)),
             "{plan}"
@@ -840,8 +708,9 @@ mod explain_tests {
         cat.register_table(t);
         cat.bind_predicate("images", "hair=gray", "is_gray");
         cat.enable_label_cache();
-        let exec = Executor::new(&cat);
-        let plan = exec
+        let plan = EngineBuilder::from_catalog(cat)
+            .build()
+            .session()
             .explain(
                 "SELECT AVG(smile), hair FROM images WHERE hair(img) = 'gray' \
                  GROUP BY hair(img) ORACLE LIMIT 100",
@@ -859,17 +728,18 @@ mod explain_tests {
             .unwrap();
         let mut cat = Catalog::new();
         cat.register_table(t);
-        let exec = Executor::new(&cat);
+        let engine = EngineBuilder::from_catalog(cat).build();
+        let session = engine.session();
         let ci_line = format!(
             "ci     : percentile bootstrap, {} resamples, confidence 0.9",
-            exec.bootstrap_trials
+            engine.options().bootstrap_trials
         );
-        let blocking = exec
+        let blocking = session
             .explain("SELECT AVG(links) FROM emails WHERE is_spam ORACLE LIMIT 100 WITH PROBABILITY 0.9")
             .unwrap();
         assert!(blocking.lines().any(|l| l == ci_line), "{blocking}");
         assert!(!blocking.contains("stop   :"), "{blocking}");
-        let until = exec
+        let until = session
             .explain(
                 "SELECT AVG(links) FROM emails WHERE is_spam \
                  UNTIL CI WIDTH < 0.5 MAX ORACLE LIMIT 100 WITH PROBABILITY 0.9",
@@ -896,10 +766,10 @@ mod explain_tests {
             .unwrap();
         let mut cat = Catalog::new();
         cat.register_table(t);
-        let exec = Executor::new(&cat);
-        let plan = exec.explain("SELECT AVG(x) FROM t WHERE a AND b ORACLE LIMIT 10").unwrap();
+        let session = EngineBuilder::from_catalog(cat).build().session();
+        let plan = session.explain("SELECT AVG(x) FROM t WHERE a AND b ORACLE LIMIT 10").unwrap();
         assert!(plan.contains("MultiPred"), "{plan}");
-        assert!(exec.explain("SELECT AVG(x) FROM nope WHERE a ORACLE LIMIT 10").is_err());
-        assert!(exec.explain("SELECT AVG(x) FROM t WHERE zzz ORACLE LIMIT 10").is_err());
+        assert!(session.explain("SELECT AVG(x) FROM nope WHERE a ORACLE LIMIT 10").is_err());
+        assert!(session.explain("SELECT AVG(x) FROM t WHERE zzz ORACLE LIMIT 10").is_err());
     }
 }

@@ -11,10 +11,10 @@
 use crate::ast::Statement;
 use crate::ddl::{run_create_proxy, run_show_proxies};
 use crate::engine::Engine;
-use crate::exec::{QueryError, QueryResult, QuerySnapshot, StatementOutcome};
 use crate::parser::{parse_query, parse_statement};
-use crate::plan::{explain_plan, plan_query, run_plan, run_plan_progressive, Bindings, ExecCtx};
+use crate::plan::{explain_plan, plan_query, run_plan, run_plan_progressive, Bindings};
 use crate::prepared::Prepared;
+use crate::result::{QueryError, QueryResult, QuerySnapshot, StatementOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,7 +69,7 @@ impl Session {
             self.engine.options(),
             &Bindings::default(),
             &mut self.rng,
-            &ExecCtx { session: self.id, batcher: Some(self.engine.batcher()) },
+            &self.engine.ctx(self.id),
         )
     }
 
@@ -94,7 +94,7 @@ impl Session {
             self.engine.options(),
             &Bindings::default(),
             &mut self.rng,
-            &ExecCtx { session: self.id, batcher: Some(self.engine.batcher()) },
+            &self.engine.ctx(self.id),
             &mut on_snapshot,
         )
     }
@@ -117,7 +117,7 @@ impl Session {
                 &stmt,
                 self.engine.options(),
                 &mut self.rng,
-                &ExecCtx { session: self.id, batcher: Some(self.engine.batcher()) },
+                &self.engine.ctx(self.id),
             )
             .map(StatementOutcome::ProxyCreated),
             Statement::ShowProxies(table) => {
@@ -139,14 +139,15 @@ impl Session {
             &plan,
             self.engine.options(),
             &Bindings::default(),
-            &ExecCtx { session: self.id, batcher: Some(self.engine.batcher()) },
+            &self.engine.ctx(self.id),
         )
     }
 
     /// Parses and plans `sql` **once**, returning a [`Prepared`] statement
     /// that re-executes without re-parsing or re-planning. Parameter
-    /// placeholders (`ORACLE LIMIT ?`, `WITH PROBABILITY ?`) are bound
-    /// through [`Prepared::with_budget`] / [`Prepared::with_probability`].
+    /// placeholders (`ORACLE LIMIT ?`, `WITH PROBABILITY ?`,
+    /// `UNTIL CI WIDTH < ?`) are bound through [`Prepared::with_budget`] /
+    /// [`Prepared::with_probability`] / [`Prepared::with_ci_width`].
     ///
     /// Each prepared statement owns an RNG stream derived from (engine
     /// seed, session id, preparation order), independent of the session's

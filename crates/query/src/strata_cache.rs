@@ -319,9 +319,9 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::engine::EngineOptions;
-    use crate::exec::QueryResult;
     use crate::parser::parse_query;
     use crate::plan::{plan_query, run_plan, Bindings, ExecCtx, PlanKind};
+    use crate::result::QueryResult;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -358,7 +358,7 @@ mod tests {
         let plan = plan_query(catalog, &parse_query(sql).unwrap()).unwrap();
         let opts = EngineOptions { bootstrap_trials: 40, ..EngineOptions::default() };
         let mut rng = StdRng::seed_from_u64(seed);
-        run_plan(catalog, &plan, &opts, &Bindings::default(), &mut rng, &ExecCtx::detached())
+        run_plan(catalog, &plan, &opts, &Bindings::default(), &mut rng, &ExecCtx::for_tests())
             .unwrap()
     }
 

@@ -1,13 +1,12 @@
-//! Nonparametric bootstrap resampling and percentile confidence intervals.
+//! Percentile bootstrap confidence intervals.
 //!
 //! ABae's Algorithm 2 forms CIs by resampling, within each stratum, the
 //! records drawn across both stages and recomputing the estimate `β` times;
 //! the CI is the empirical `[α/2, 1 − α/2]` percentile interval. This module
-//! provides the generic machinery (index resampling, percentile interval)
-//! that `abae-core` composes per stratum.
+//! provides the interval type and the percentile interval; `abae-core`
+//! resamples per stratum in its own kernel.
 
 use crate::quantile::quantile_sorted;
-use rand::Rng;
 
 /// A two-sided confidence interval `[lo, hi]` with its nominal coverage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,23 +31,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// Draws `n` indices uniformly with replacement from `0..n` (one bootstrap
-/// resample of an `n`-element sample).
-///
-/// Returns an empty vector when `n == 0`.
-pub fn resample_indices<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
-    (0..n).map(|_| rng.gen_range(0..n.max(1)) % n.max(1)).take(n).collect()
-}
-
-/// Fills `out` with `out.len()` indices drawn with replacement from `0..n`.
-/// Reusing a workhorse buffer avoids an allocation per bootstrap trial.
-pub fn resample_indices_into<R: Rng + ?Sized>(n: usize, out: &mut [usize], rng: &mut R) {
-    debug_assert!(n > 0 || out.is_empty());
-    for slot in out.iter_mut() {
-        *slot = rng.gen_range(0..n);
-    }
-}
-
 /// Computes the percentile bootstrap CI from replicate estimates.
 ///
 /// `alpha` is the total tail mass (e.g. `0.05` for a 95% CI). The replicate
@@ -64,47 +46,10 @@ pub fn percentile_ci(replicates: &mut [f64], alpha: f64) -> Option<ConfidenceInt
     Some(ConfidenceInterval { lo, hi, confidence: 1.0 - alpha })
 }
 
-/// Runs a generic bootstrap: draws `b` resamples of `data` (with
-/// replacement) and applies `statistic` to each resample.
-///
-/// This is the textbook single-sample bootstrap, used for the uniform
-/// sampling baseline; ABae itself uses the stratified variant in
-/// `abae-core::bootstrap`.
-pub fn bootstrap_estimates<T: Copy, F, R>(
-    data: &[T],
-    b: usize,
-    mut statistic: F,
-    rng: &mut R,
-) -> Vec<f64>
-where
-    F: FnMut(&[T]) -> f64,
-    R: Rng + ?Sized,
-{
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut resample: Vec<T> = Vec::with_capacity(data.len());
-    let mut out = Vec::with_capacity(b);
-    for _ in 0..b {
-        resample.clear();
-        for _ in 0..data.len() {
-            resample.push(data[rng.gen_range(0..data.len())]);
-        }
-        out.push(statistic(&resample));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
-    }
 
     #[test]
     fn interval_accessors() {
@@ -115,23 +60,6 @@ mod tests {
         assert!(ci.contains(3.0));
         assert!(!ci.contains(0.99));
         assert!(!ci.contains(3.01));
-    }
-
-    #[test]
-    fn resample_indices_in_range_and_right_length() {
-        let mut r = rng();
-        let idx = resample_indices(17, &mut r);
-        assert_eq!(idx.len(), 17);
-        assert!(idx.iter().all(|&i| i < 17));
-        assert!(resample_indices(0, &mut r).is_empty());
-    }
-
-    #[test]
-    fn resample_into_fills_buffer() {
-        let mut r = rng();
-        let mut buf = vec![usize::MAX; 25];
-        resample_indices_into(10, &mut buf, &mut r);
-        assert!(buf.iter().all(|&i| i < 10));
     }
 
     #[test]
@@ -150,51 +78,6 @@ mod tests {
         assert!(percentile_ci(&mut [1.0], 0.0).is_none());
         assert!(percentile_ci(&mut [1.0], 1.0).is_none());
         assert!(percentile_ci(&mut [1.0], -0.1).is_none());
-    }
-
-    #[test]
-    fn bootstrap_mean_ci_covers_truth_for_normal_data() {
-        // Coverage check: bootstrap CI for the mean of N(5, 1) data should
-        // contain 5 in roughly 95% of trials.
-        let mut r = rng();
-        let norm = crate::dist::Normal::new(5.0, 1.0).unwrap();
-        use rand::distributions::Distribution;
-        let mut covered = 0;
-        let trials = 200;
-        for _ in 0..trials {
-            let data: Vec<f64> = (0..80).map(|_| norm.sample(&mut r)).collect();
-            let mut reps = bootstrap_estimates(
-                &data,
-                400,
-                |s| s.iter().sum::<f64>() / s.len() as f64,
-                &mut r,
-            );
-            let ci = percentile_ci(&mut reps, 0.05).unwrap();
-            if ci.contains(5.0) {
-                covered += 1;
-            }
-        }
-        let cov = covered as f64 / trials as f64;
-        assert!(cov > 0.85, "coverage {cov} too low");
-    }
-
-    #[test]
-    fn bootstrap_of_empty_data_is_empty() {
-        let mut r = rng();
-        let reps = bootstrap_estimates(&[] as &[f64], 10, |_| 0.0, &mut r);
-        assert!(reps.is_empty());
-    }
-
-    #[test]
-    fn bootstrap_of_constant_data_is_constant() {
-        let mut r = rng();
-        let data = [3.0; 40];
-        let mut reps =
-            bootstrap_estimates(&data, 100, |s| s.iter().sum::<f64>() / s.len() as f64, &mut r);
-        let ci = percentile_ci(&mut reps, 0.05).unwrap();
-        assert_eq!(ci.lo, 3.0);
-        assert_eq!(ci.hi, 3.0);
-        assert_eq!(ci.width(), 0.0);
     }
 
     proptest! {

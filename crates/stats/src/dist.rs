@@ -1,20 +1,17 @@
 //! Random variate generation built from scratch on top of a uniform source.
 //!
-//! The ABae evaluation needs Normal, LogNormal, Beta, Gamma, Bernoulli,
-//! Binomial, Poisson, categorical, and heavy-tailed variates to emulate the
-//! paper's datasets (car counts, ratings, link counts, proxy scores drawn
-//! from Beta distributions, ...). The `rand` crate only ships uniform
-//! sampling, so every sampler here is implemented directly:
+//! The ABae evaluation needs Normal, Beta (built on Gamma), Bernoulli,
+//! Poisson, and categorical variates to emulate the paper's datasets (car
+//! counts, ratings, link counts, proxy scores drawn from Beta
+//! distributions, ...). The `rand` crate only ships uniform sampling, so
+//! every sampler here is implemented directly:
 //!
 //! * Normal — Marsaglia polar method.
 //! * Gamma — Marsaglia–Tsang squeeze (with the `U^{1/α}` boost for `α < 1`).
 //! * Beta — ratio of Gammas.
-//! * Binomial — exact Bernoulli summation for small `n`, inversion for small
-//!   `n·p`, Gaussian approximation with continuity correction otherwise.
 //! * Poisson — Knuth multiplication for `λ < 30`, Gaussian approximation
 //!   otherwise.
 //! * Categorical — Walker/Vose alias method (O(1) per draw).
-//! * Pareto — inverse CDF.
 //!
 //! All samplers implement [`rand::distributions::Distribution`] so they
 //! compose with `Rng::sample` and iterator adapters.
@@ -63,16 +60,6 @@ impl Normal {
     pub fn standard() -> Self {
         Self { mean: 0.0, std_dev: 1.0 }
     }
-
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
 }
 
 /// Draws one standard-normal variate via the Marsaglia polar method.
@@ -93,55 +80,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 impl Distribution<f64> for Normal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.std_dev * standard_normal(rng)
-    }
-}
-
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    norm: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal distribution where the *logarithm* of the
-    /// variate has mean `mu` and standard deviation `sigma`.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, ParamError> {
-        Ok(Self { norm: Normal::new(mu, sigma)? })
-    }
-
-    /// Mean of the log-normal variate itself: `exp(mu + sigma^2 / 2)`.
-    pub fn mean(&self) -> f64 {
-        (self.norm.mean() + 0.5 * self.norm.std_dev().powi(2)).exp()
-    }
-}
-
-impl Distribution<f64> for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.norm.sample(rng).exp()
-    }
-}
-
-/// Exponential distribution with rate `lambda`, sampled by inverse CDF.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda > 0`.
-    pub fn new(lambda: f64) -> Result<Self, ParamError> {
-        if lambda <= 0.0 || lambda.is_nan() || !lambda.is_finite() {
-            return Err(ParamError::new("Exponential requires lambda > 0"));
-        }
-        Ok(Self { lambda })
-    }
-}
-
-impl Distribution<f64> for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // 1 - U in (0, 1] avoids ln(0).
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.lambda
     }
 }
 
@@ -274,89 +212,6 @@ impl Distribution<bool> for Bernoulli {
     }
 }
 
-/// Binomial distribution `Bin(n, p)`.
-///
-/// Three regimes, chosen for exactness where the ABae workloads live (small
-/// `n` or small `n·p`) and documented approximation elsewhere:
-/// * `n <= 64`: sum of Bernoulli trials (exact).
-/// * `n·p <= 40` (or `n·(1-p) <= 40`, by symmetry): CDF inversion (exact).
-/// * otherwise: Gaussian approximation with continuity correction, clamped
-///   to `[0, n]` (error negligible at that scale for our uses).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Binomial {
-    n: u64,
-    p: f64,
-}
-
-impl Binomial {
-    /// Creates a binomial distribution with `n` trials and success
-    /// probability `p in [0, 1]`.
-    pub fn new(n: u64, p: f64) -> Result<Self, ParamError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ParamError::new("Binomial requires p in [0, 1]"));
-        }
-        Ok(Self { n, p })
-    }
-
-    fn sample_inversion<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-        // Walk the CDF from k = 0. Only used when n*p is small, so the
-        // expected number of steps is small.
-        let q = 1.0 - p;
-        let mut pk = q.powi(n as i32); // P(X = 0)
-        let mut cdf = pk;
-        let u: f64 = rng.gen::<f64>();
-        let mut k: u64 = 0;
-        while u > cdf && k < n {
-            // p_{k+1} = p_k * (n - k) / (k + 1) * p / q
-            pk *= (n - k) as f64 / (k + 1) as f64 * p / q;
-            k += 1;
-            cdf += pk;
-            if pk <= f64::MIN_POSITIVE {
-                break;
-            }
-        }
-        k
-    }
-}
-
-impl Distribution<u64> for Binomial {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let (n, p) = (self.n, self.p);
-        if p == 0.0 || n == 0 {
-            return 0;
-        }
-        if p == 1.0 {
-            return n;
-        }
-        if n <= 64 {
-            let mut count = 0;
-            for _ in 0..n {
-                if rng.gen::<f64>() < p {
-                    count += 1;
-                }
-            }
-            return count;
-        }
-        // Exploit symmetry so inversion walks the short side.
-        let flipped = p > 0.5;
-        let ps = if flipped { 1.0 - p } else { p };
-        let mean = n as f64 * ps;
-        let k = if mean <= 40.0 {
-            Self::sample_inversion(n, ps, rng)
-        } else {
-            let sd = (n as f64 * ps * (1.0 - ps)).sqrt();
-            let z = standard_normal(rng);
-            let x = (mean + sd * z + 0.5).floor();
-            x.clamp(0.0, n as f64) as u64
-        };
-        if flipped {
-            n - k
-        } else {
-            k
-        }
-    }
-}
-
 /// Poisson distribution with mean `lambda`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
@@ -476,33 +331,6 @@ impl Distribution<usize> for Categorical {
     }
 }
 
-/// Pareto (Type I) distribution with scale `x_min > 0` and shape `alpha > 0`,
-/// sampled by inverse CDF. Used for heavy-tailed statistics (e.g. link
-/// counts in spam emails).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution with minimum value `x_min > 0` and tail
-    /// index `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, ParamError> {
-        if x_min.is_nan() || alpha.is_nan() || x_min <= 0.0 || alpha <= 0.0 {
-            return Err(ParamError::new("Pareto requires x_min > 0 and alpha > 0"));
-        }
-        Ok(Self { x_min, alpha })
-    }
-}
-
-impl Distribution<f64> for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,21 +376,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(d.sample(&mut r), 5.0);
         }
-    }
-
-    #[test]
-    fn lognormal_mean_matches_formula() {
-        let d = LogNormal::new(0.5, 0.4).unwrap();
-        let (m, _) = sample_mean_var(&d, 300_000);
-        assert!((m - d.mean()).abs() / d.mean() < 0.02, "mean {m} vs {}", d.mean());
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::new(2.5).unwrap();
-        let (m, v) = sample_mean_var(&d, 200_000);
-        assert!((m - 0.4).abs() < 0.01, "mean {m}");
-        assert!((v - 0.16).abs() < 0.01, "var {v}");
     }
 
     #[test]
@@ -617,72 +430,6 @@ mod tests {
         assert!(Bernoulli::new(1.0).unwrap().sample(&mut r));
         assert!(Bernoulli::new(1.5).is_err());
         assert!(Bernoulli::new(-0.1).is_err());
-    }
-
-    #[test]
-    fn binomial_small_n_exact_regime() {
-        let d = Binomial::new(20, 0.4).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let x = d.sample(&mut r);
-            assert!(x <= 20);
-            sum += x;
-        }
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 8.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_inversion_regime() {
-        // n large, n*p small: exercises the CDF walk.
-        let d = Binomial::new(10_000, 0.001).unwrap();
-        let mut r = rng();
-        let n = 50_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            sum += d.sample(&mut r);
-        }
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 10.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_gaussian_regime() {
-        let d = Binomial::new(1_000_000, 0.5).unwrap();
-        let mut r = rng();
-        let n = 20_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = d.sample(&mut r);
-            assert!(x <= 1_000_000);
-            sum += x as f64;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 500_000.0).abs() < 200.0, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_symmetry_flip() {
-        // High p goes through the flipped path; the mean must still match.
-        let d = Binomial::new(5_000, 0.999).unwrap();
-        let mut r = rng();
-        let n = 20_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            sum += d.sample(&mut r);
-        }
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 4995.0).abs() < 0.5, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_degenerate() {
-        let mut r = rng();
-        assert_eq!(Binomial::new(10, 0.0).unwrap().sample(&mut r), 0);
-        assert_eq!(Binomial::new(10, 1.0).unwrap().sample(&mut r), 10);
-        assert_eq!(Binomial::new(0, 0.5).unwrap().sample(&mut r), 0);
     }
 
     #[test]
@@ -749,23 +496,5 @@ mod tests {
         assert!(Categorical::new(&[0.0, 0.0]).is_err());
         assert!(Categorical::new(&[-1.0, 2.0]).is_err());
         assert!(Categorical::new(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn pareto_minimum_respected() {
-        let d = Pareto::new(2.0, 3.0).unwrap();
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut r) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_matches_formula() {
-        // Mean = alpha * x_min / (alpha - 1) for alpha > 1.
-        let d = Pareto::new(1.0, 4.0).unwrap();
-        let (m, _) = sample_mean_var(&d, 300_000);
-        let expect = 4.0 / 3.0;
-        assert!((m - expect).abs() < 0.02, "mean {m} vs {expect}");
     }
 }

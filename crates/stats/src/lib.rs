@@ -5,36 +5,30 @@
 //! confidence intervals, and evaluation metrics. This crate rebuilds that
 //! substrate from scratch on top of [`rand`]:
 //!
-//! * [`dist`] — random variate generation (Normal, LogNormal, Exponential,
-//!   Gamma, Beta, Bernoulli, Binomial, Poisson, alias-method categorical,
-//!   Pareto) implementing [`rand::distributions::Distribution`].
+//! * [`dist`] — random variate generation (Normal, Gamma, Beta, Bernoulli,
+//!   Poisson, alias-method categorical) implementing
+//!   [`rand::distributions::Distribution`].
 //! * [`moments`] — numerically stable streaming moments (Welford) with merge
 //!   support, plus batch helpers.
 //! * [`quantile`] — type-7 (linear interpolation) quantiles and percentile
 //!   helpers used by the bootstrap.
-//! * [`bootstrap`] — nonparametric bootstrap resampling and percentile
-//!   confidence intervals (the machinery behind the paper's Algorithm 2).
+//! * [`bootstrap`] — the confidence-interval type and the percentile
+//!   interval behind the paper's Algorithm 2.
 //! * [`metrics`] — the paper's evaluation metrics: RMSE, normalized Q-error
 //!   (Figure 4), relative error, and CI coverage/width (Figure 5).
-//! * [`histogram`] — fixed-width histograms for diagnostics and tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bootstrap;
 pub mod dist;
-pub mod histogram;
-pub mod ks;
 pub mod metrics;
 pub mod moments;
 pub mod quantile;
 pub mod special;
 
-pub use bootstrap::{bootstrap_estimates, percentile_ci, resample_indices, ConfidenceInterval};
-pub use dist::{
-    Bernoulli, Beta, Binomial, Categorical, Exponential, Gamma, LogNormal, Normal, Pareto, Poisson,
-};
-pub use ks::{ks_p_value, ks_statistic, ks_test};
+pub use bootstrap::{percentile_ci, ConfidenceInterval};
+pub use dist::{Bernoulli, Beta, Categorical, Gamma, Normal, Poisson};
 pub use metrics::{coverage, mean_width, normalized_q_error, q_error, relative_error, rmse};
 pub use moments::{summarize, StreamingMoments, Summary};
 pub use quantile::{quantile_sorted, quantiles_sorted};

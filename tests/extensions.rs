@@ -1,16 +1,14 @@
 //! Integration tests for the beyond-the-paper extensions: the sequential
-//! sampler (§4.6 future work), closed-form CIs, the naive Bayes proxy, and
-//! EXPLAIN — each exercised across crate boundaries.
+//! sampler (§4.6 future work), closed-form CIs, and EXPLAIN — each
+//! exercised across crate boundaries.
 
 use abae::core::adaptive::{run_adaptive, AdaptiveConfig};
 use abae::core::config::{AbaeConfig, Aggregate};
 use abae::core::normal_ci::closed_form_ci;
 use abae::core::strata::Stratification;
 use abae::core::two_stage::run_two_stage;
-use abae::data::emulators::{night_street, trec05p, EmulatorOptions};
+use abae::data::emulators::{night_street, EmulatorOptions};
 use abae::data::{PredicateOracle, Table};
-use abae::ml::metrics::auc;
-use abae::ml::NaiveBayes;
 use abae::query::Engine;
 use abae::stats::metrics::rmse;
 use rand::rngs::StdRng;
@@ -88,42 +86,6 @@ fn closed_form_ci_covers_on_emulated_data() {
         }
     }
     assert!(covered >= 33, "coverage {covered}/{trials}");
-}
-
-#[test]
-fn naive_bayes_trained_on_emulated_text_is_a_usable_proxy() {
-    // Train NB on the emulated corpus's token streams, score every email,
-    // and run ABae with the learned proxy — a full learned-proxy pipeline.
-    let emails = trec05p(&opts());
-    let texts = emails.texts().expect("trec05p carries text");
-    let labels = emails.predicate("is_spam").unwrap().labels_vec();
-
-    // Train on the first 2,000 records (in practice: a labeled subsample).
-    let train_docs: Vec<&str> = texts.iter().take(2000).collect();
-    let train_labels: Vec<bool> = labels.iter().take(2000).copied().collect();
-    let nb = NaiveBayes::fit_text(&train_docs, &train_labels).expect("both classes present");
-
-    let scores: Vec<f64> = texts.iter().map(|t| nb.score_text(t)).collect();
-    let nb_auc = auc(&scores, &labels).expect("both classes present");
-    assert!(nb_auc > 0.8, "NB proxy AUC {nb_auc}");
-
-    // The learned proxy drives ABae; estimate should be near the truth.
-    let exact = emails.exact_avg("is_spam").unwrap();
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut estimates = Vec::new();
-    for _ in 0..20 {
-        let oracle = PredicateOracle::new(&emails, "is_spam").unwrap();
-        let run = abae::core::run_abae(
-            &scores,
-            &oracle,
-            &AbaeConfig { budget: 2000, ..Default::default() },
-            Aggregate::Avg,
-            &mut rng,
-        )
-        .unwrap();
-        estimates.push(run.estimate);
-    }
-    assert!(rmse(&estimates, exact) / exact < 0.15);
 }
 
 #[test]
