@@ -5,31 +5,36 @@
 //! the repository root in addition to its human-readable stdout report, so
 //! CI and plotting scripts can diff runs without scraping tables. The
 //! artifact is one JSON object per bench (points as an array), rebuilt in
-//! full on every run.
+//! full on every run. A run at other than the bin's default scale writes
+//! under `target/` instead, so a smoke never replaces a tracked artifact.
 
 use std::path::{Path, PathBuf};
 
 /// Absolute path of the `BENCH_<name>.json` artifact at the repository
-/// root (two levels above this crate's manifest).
-pub fn artifact_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join(format!("BENCH_{name}.json"))
+/// root (two levels above this crate's manifest), or under its `target/`
+/// for a run at other than the bin's default scale.
+pub fn artifact_path(name: &str, default_scale: bool) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let dir = if default_scale { root } else { root.join("target") };
+    dir.join(format!("BENCH_{name}.json"))
 }
 
-/// Writes `json` (plus a trailing newline) to `BENCH_<name>.json` at the
-/// repository root, returning the path written.
-pub fn write_artifact(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let path = artifact_path(name);
+/// Writes `json` (plus a trailing newline) to [`artifact_path`], creating
+/// its directory if needed, and returns the path written.
+pub fn write_artifact(name: &str, json: &str, default_scale: bool) -> std::io::Result<PathBuf> {
+    let path = artifact_path(name, default_scale);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(&path, format!("{json}\n"))?;
     Ok(path)
 }
 
 /// Writes the artifact and reports the outcome on stderr; benches call
 /// this last so a read-only filesystem degrades to a warning, not a crash.
-pub fn emit_artifact(name: &str, json: &str) {
-    match write_artifact(name, json) {
+/// `default_scale`: every knob that sizes the run took the bin's default.
+pub fn emit_artifact(name: &str, json: &str, default_scale: bool) {
+    match write_artifact(name, json, default_scale) {
         Ok(path) => eprintln!("# artifact: {}", path.display()),
         Err(e) => eprintln!("# artifact write failed ({name}): {e}"),
     }
@@ -51,11 +56,17 @@ mod tests {
 
     #[test]
     fn artifact_path_lands_at_the_repo_root() {
-        let p = artifact_path("anytime");
+        let p = artifact_path("anytime", true);
         assert!(p.ends_with("BENCH_anytime.json"), "{}", p.display());
         // Two levels above crates/bench is the workspace root, which holds
         // the top-level Cargo.toml.
         assert!(p.parent().unwrap().join("Cargo.toml").exists());
+    }
+
+    #[test]
+    fn an_off_default_run_lands_under_target() {
+        let p = artifact_path("scan", false);
+        assert_eq!(p, artifact_path("scan", true).parent().unwrap().join("target/BENCH_scan.json"));
     }
 
     #[test]

@@ -192,7 +192,7 @@ fn main() {
         json_f64(blocking_ms),
         json_f64(full_over_blocking),
     );
-    emit_artifact("anytime", &json);
+    emit_artifact("anytime", &json, cfg.scale == ExpConfig::default().scale && budget == 8_000);
 
     assert!(bit_identical, "progressive final answer must equal the blocking answer");
     assert!(

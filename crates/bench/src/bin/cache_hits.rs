@@ -97,6 +97,7 @@ fn main() {
             store.misses(),
             points.join(",")
         ),
+        cfg.scale == ExpConfig::default().scale && rounds == 25,
     );
 
     println!(

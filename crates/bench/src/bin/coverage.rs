@@ -259,5 +259,5 @@ fn main() {
          \"shapes\":[{}]}}",
         rows.join(",")
     );
-    emit_artifact("coverage", &json);
+    emit_artifact("coverage", &json, sessions == 400);
 }

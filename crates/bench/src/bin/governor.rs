@@ -111,6 +111,8 @@ fn main() {
     let budget = env_u64("ABAE_GOVERNOR_BUDGET", 1500);
     let overhead_us = env_u64("ABAE_GOVERNOR_OVERHEAD_US", 100);
     let batch = env_u64("ABAE_GOVERNOR_BATCH", 20) as usize;
+    let default_scale = cfg.scale == ExpConfig::default().scale
+        && (queries, budget, overhead_us, batch) == (6, 1500, 100, 20);
     let relax = std::env::var("ABAE_GOVERNOR_RELAX").is_ok_and(|v| v == "1");
     let overhead = Duration::from_micros(overhead_us);
     let sql =
@@ -184,6 +186,7 @@ fn main() {
             cfg.seed,
             points.join(",")
         ),
+        default_scale,
     );
     eprintln!(
         "# expected shape: off-mode throughput is flat (the serialized device charges \

@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         report.files_scanned,
         json_f64(wall_ms),
     );
-    emit_artifact("lint", &json);
+    emit_artifact("lint", &json, true);
 
     if denied > 0 {
         eprintln!("lint bench: {denied} denied diagnostics — run `cargo run -p abae-lint -- --workspace --deny-all`");

@@ -110,8 +110,13 @@ fn main() {
     );
     let queries_per_session = env_usize("ABAE_QPS_QUERIES", 20);
     let budget = env_usize("ABAE_QPS_BUDGET", 2000);
-    let modes = std::env::var("ABAE_QPS_MODES")
-        .unwrap_or_else(|_| "prepared,execute,wire,isolated,tenants".to_string());
+    let greedy_queries = env_usize("ABAE_QPS_GREEDY_QUERIES", 4);
+    let fair_queries = env_usize("ABAE_QPS_FAIR_QUERIES", 8);
+    let all_modes = "prepared,execute,wire,isolated,tenants";
+    let modes = std::env::var("ABAE_QPS_MODES").unwrap_or_else(|_| all_modes.to_string());
+    let default_scale = cfg.scale == ExpConfig::default().scale
+        && (queries_per_session, budget, greedy_queries, fair_queries) == (20, 2000, 4, 8)
+        && modes == all_modes;
     let enabled = |m: &str| modes.split(',').any(|s| s.trim() == m);
     let nproc = std::thread::available_parallelism().map_or(0, usize::from);
 
@@ -295,8 +300,6 @@ fn main() {
 
         let greedy_id: u64 = 1000;
         let fair_ids: [u64; 3] = [1, 2, 3];
-        let greedy_queries = env_usize("ABAE_QPS_GREEDY_QUERIES", 4);
-        let fair_queries = env_usize("ABAE_QPS_FAIR_QUERIES", 8);
         let greedy_budget = budget * 2;
         let fair_budget = (budget / 5).max(100);
 
@@ -444,6 +447,7 @@ fn main() {
             overhead.join(","),
             if tenants_json.is_empty() { "null".to_string() } else { tenants_json }
         ),
+        default_scale,
     );
     eprintln!(
         "# expected shape: qps tracks min(sessions, cores) — on a multi-core box the \

@@ -86,6 +86,7 @@ fn main() {
     exp.banner("scan", "columnar hot path: pre-oracle phases touch every record");
     let n = env_usize("ABAE_RECORDS", 200_000);
     let reps = env_usize("ABAE_REPS", 20);
+    let default_scale = (n, reps) == (200_000, 20);
 
     // trec05p carries every column type: f64 statistic, three predicates
     // (bool labels + f64 proxies), and a text column. A synthetic two-group
@@ -184,7 +185,7 @@ fn main() {
         json_f64(geomean),
         points.join(",")
     );
-    emit_artifact("scan", &json);
+    emit_artifact("scan", &json, default_scale);
 }
 
 /// Attaches a deterministic two-group key (by statistic parity) so the

@@ -37,7 +37,9 @@ fn main() {
     exp.banner("throughput", "§5.1 cost model: the oracle is a batched DNN");
     let n = env_usize("ABAE_RECORDS", 50_000);
     let budget = env_usize("ABAE_BUDGET", 4_000);
-    let latency = Duration::from_micros(env_usize("ABAE_LATENCY_US", 100) as u64);
+    let latency_us = env_usize("ABAE_LATENCY_US", 100);
+    let latency = Duration::from_micros(latency_us as u64);
+    let default_scale = (n, budget, latency_us) == (50_000, 4_000, 100);
     let seed = exp.seed;
 
     // The population from the two-stage doctest: proxy orders positives
@@ -111,5 +113,6 @@ fn main() {
             latency.as_micros(),
             points.join(",")
         ),
+        default_scale,
     );
 }

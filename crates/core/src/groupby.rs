@@ -20,6 +20,12 @@
 //!   stratification says nothing about other groups, so each group keeps
 //!   its own two-stage ABae run and the allocation only decides the
 //!   Stage-2 split.
+//!
+//! A single-oracle query with per-group CIs has one executor,
+//! [`groupby_single_oracle_stratified`], over stored per-group
+//! stratifications: blocking, or anytime with a snapshot after every
+//! labeling chunk, on one chunked sampling core. [`check`] holds its
+//! checks in the order it runs them, for callers that stratify first.
 
 use crate::allocation::optimal_allocation;
 use crate::config::{Aggregate, BootstrapConfig, ConfigError};
@@ -79,9 +85,8 @@ impl GroupByConfig {
     /// Checks the configuration for a query over `groups` groups: at least
     /// one group, a positive strata count and budget, and a Stage-1
     /// fraction strictly inside `(0, 1)`, in that order. Every entry point
-    /// runs it before it stratifies, so a caller that stratifies first (as
-    /// the query engine's strata cache does) can run it itself and fail
-    /// with the same error without sorting anything.
+    /// runs it before it stratifies; a run with CIs runs it last of
+    /// [`check`]'s checks.
     ///
     /// # Errors
     /// The first check that fails.
@@ -349,15 +354,24 @@ struct SingleOracleRun {
     stratifications: Vec<Arc<Stratification>>,
 }
 
-/// The checks a single-oracle entry point runs before the group checks,
-/// in order: the bootstrap `alpha`, then (for an anytime run) the CI width
-/// target.
-fn check_ci(
+/// The checks [`groupby_single_oracle_stratified`] runs first, in order:
+/// the bootstrap `alpha`, then (for an anytime run) the CI width target,
+/// then [`GroupByConfig::validate`] over `groups` groups. A caller that
+/// stratifies on its own (as the engine's strata cache does) runs them
+/// before it sorts, so a bad statement fails the same way and sorts
+/// nothing.
+///
+/// # Errors
+/// The first check that fails.
+pub fn check(
+    cfg: &GroupByConfig,
     bootstrap: &BootstrapConfig,
-    progressive: Option<&ProgressiveOptions>,
+    anytime: Option<&ProgressiveOptions>,
+    groups: usize,
 ) -> Result<(), GroupByError> {
     bootstrap.validate().map_err(GroupByError::Config)?;
-    progressive.map_or(Ok(()), ProgressiveOptions::validate).map_err(GroupByError::Config)
+    anytime.map_or(Ok(()), ProgressiveOptions::validate).map_err(GroupByError::Config)?;
+    cfg.validate(groups)
 }
 
 /// The group checks of a single-oracle run over `groups` stratifications:
@@ -376,8 +390,7 @@ fn check_groups<O: GroupOracle + ?Sized>(
 
 /// Runs the group checks, then stratifies every group's proxy into
 /// `cfg.strata` quantile strata (`ABaeInit`), in group order: what the
-/// proxy-taking entry points do before they delegate to their
-/// `*_stratified` counterparts.
+/// proxy-taking entry points do before they sample.
 fn stratify_groups<O: GroupOracle + ?Sized>(
     proxies: &[&[f64]],
     oracle: &O,
@@ -407,81 +420,20 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
         .collect())
 }
 
-/// ABae-GroupBy (single oracle) with per-group bootstrap CIs.
-///
-/// The sampling phase is identical to [`groupby_single_oracle`] (same RNG
-/// stream, same oracle spend); the bootstrap runs afterwards on the cached
-/// labels for free. Because the single-oracle setting shares records
-/// across stratifications, the per-stratum draws are not independent the
-/// way Algorithm 2 assumes; the CI here resamples every
-/// `(stratification, stratum)` bucket with replacement and recomputes the
-/// full inverse-variance-weighted estimator per replicate, which treats
-/// the buckets as approximately independent. The approximation is good
-/// when strata are large relative to the overlap and is reported as a
-/// percentile interval of the *actual* estimator, so it always tracks the
-/// point estimate.
-///
-/// This checks `bootstrap` and `cfg`, stratifies every group's proxy
-/// (`ABaeInit`) and runs [`groupby_single_oracle_with_ci_stratified`].
-pub fn groupby_single_oracle_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    proxies: &[&[f64]],
-    oracle: &O,
-    cfg: &GroupByConfig,
-    bootstrap: &BootstrapConfig,
-    rng: &mut R,
-) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
-    check_ci(bootstrap, None)?;
-    let stratifications = stratify_groups(proxies, oracle, cfg)?;
-    groupby_single_oracle_with_ci_stratified(&stratifications, oracle, cfg, bootstrap, rng)
-}
-
-/// [`groupby_single_oracle_with_ci`] on per-group stratifications the
-/// caller already built, in group order, so one `ABaeInit` sort per group
-/// can serve any number of runs. A stratification depends only on the
-/// scores and `K`, so passing stored ones gives the same answer, bit for
-/// bit, as passing the proxies.
-///
-/// # Errors
-/// The same errors, in the same order, as [`groupby_single_oracle_with_ci`].
-///
-/// # Panics
-/// Panics unless every stratification has `cfg.strata` strata over one
-/// record count.
-pub fn groupby_single_oracle_with_ci_stratified<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    stratifications: &[Arc<Stratification>],
-    oracle: &O,
-    cfg: &GroupByConfig,
-    bootstrap: &BootstrapConfig,
-    rng: &mut R,
-) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
-    check_ci(bootstrap, None)?;
-    let run = single_oracle_sample(stratifications, oracle, cfg, rng)?;
-    Ok(single_oracle_bootstrap_cis(&run, bootstrap, rng))
-}
-
 /// Per-group point estimates plus bootstrap CIs for a sampled single-oracle
-/// run state. Pure in the run state; all randomness comes from `rng`.
+/// run state, with the replicates run by `threads`. Pure in the run state;
+/// all randomness comes from `rng`.
 ///
 /// Each bucket's labels are looked up once per call, not once per
 /// replicate, draw and group. A replicate resamples every bucket's labels —
 /// stratifications in order, strata in order, one `gen_range(0..n)` per
 /// draw — straight into the bucket's cells, every group in one pass, and
 /// takes the same [`estimates_from_cells`] step as the point estimate, so
-/// it equals [`single_oracle_estimates`] over the resampled ids. The
-/// replicates run on the calling thread: this is a blocking statement's
-/// bootstrap.
-fn single_oracle_bootstrap_cis<R: Rng + ?Sized>(
-    run: &SingleOracleRun,
-    bootstrap: &BootstrapConfig,
-    rng: &mut R,
-) -> Vec<GroupEstimateWithCi> {
-    single_oracle_bootstrap_cis_on(ReplicateThreads::Calling, run, bootstrap, rng)
-}
-
-/// [`single_oracle_bootstrap_cis`] with its replicates run by `threads`. A
-/// replicate reads one word per bucket draw, so the final bootstrap of a
-/// progressive run that spends its cap splits into blocks across cores
-/// like the scalar bootstrap's ([`pipeline::replicates`]).
+/// it equals [`single_oracle_estimates`] over the resampled ids. A
+/// replicate reads one word per bucket draw, so the final bootstrap of an
+/// anytime run that spends its cap splits into blocks across cores like
+/// the scalar bootstrap's ([`pipeline::replicates`]); a blocking run's
+/// stays on the calling thread.
 fn single_oracle_bootstrap_cis_on<R: Rng + ?Sized>(
     threads: ReplicateThreads,
     run: &SingleOracleRun,
@@ -604,46 +556,24 @@ pub struct GroupSnapshot {
     pub done: bool,
 }
 
-/// The answer of a progressive single-oracle group-by run.
+/// The answer of a single-oracle group-by run with CIs, blocking or
+/// anytime.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GroupByProgressiveResult {
-    /// Per-group estimates with CIs — the final snapshot's rows.
+pub struct GroupByResult {
+    /// Per-group estimates with CIs, in group order (an anytime run's
+    /// final snapshot's rows).
     pub groups: Vec<GroupEstimateWithCi>,
     /// Oracle labels actually charged (less than the configured budget
-    /// when the run stopped early).
+    /// when an anytime run stopped early).
     pub oracle_calls: u64,
 }
 
-/// Anytime ABae-GroupBy (single oracle): the same query as
-/// [`groupby_single_oracle_with_ci`], labeling in budget chunks and
-/// invoking `on_snapshot` after every chunk with per-group estimates and
-/// CIs over the labels so far.
-///
-/// Semantics mirror [`crate::two_stage::run_abae_multi_progressive`]:
-///
-/// * Without a CI width target the run spends the full budget and the
-///   final snapshot (`done == true`) is bit-identical to the blocking run
-///   with the same seed, for any chunk size.
-/// * Intermediate snapshot CIs are closed-form and read no RNG: per group,
-///   the `AVG` delta-method variance of every stratification the point
-///   estimate blends, combined with the blend's own inverse-variance
-///   weights as if the stratifications were independent (the bootstrap
-///   makes the same assumption when it resamples each bucket on its own).
-///   A group whose estimate takes the fallback path has no CI.
-/// * With [`ProgressiveOptions::target_ci_width`] set, the run stops at
-///   the first chunk boundary — once the pilot stage is complete — where
-///   **every** group's snapshot CI is narrower than the target, charging
-///   only the budget actually consumed. A group without a CI keeps the
-///   run going.
-///
-/// This checks `bootstrap`, `progressive` and `cfg`, stratifies every
-/// group's proxy (`ABaeInit`) and runs
-/// [`groupby_single_oracle_progressive_stratified`].
+/// Anytime ABae-GroupBy (single oracle) over the proxies: runs the
+/// checks, stratifies every group's proxy (`ABaeInit`), in group order,
+/// and runs [`groupby_single_oracle_stratified`] in anytime mode.
 ///
 /// # Errors
-/// Configuration errors as the blocking variant, plus
-/// [`ConfigError::BadTargetWidth`] when the target is not a positive
-/// finite number.
+/// The errors of [`check`], then a group-count mismatch with the oracle.
 pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     proxies: &[&[f64]],
     oracle: &O,
@@ -652,52 +582,83 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
     progressive: &ProgressiveOptions,
     rng: &mut R,
     on_snapshot: impl FnMut(&GroupSnapshot),
-) -> Result<GroupByProgressiveResult, GroupByError> {
-    check_ci(bootstrap, Some(progressive))?;
+) -> Result<GroupByResult, GroupByError> {
+    check(cfg, bootstrap, Some(progressive), proxies.len())?;
     let stratifications = stratify_groups(proxies, oracle, cfg)?;
-    groupby_single_oracle_progressive_stratified(
+    groupby_single_oracle_stratified(
         &stratifications,
         oracle,
         cfg,
         bootstrap,
-        progressive,
+        Some(progressive),
         rng,
         on_snapshot,
     )
 }
 
-/// [`groupby_single_oracle_progressive`] on per-group stratifications the
-/// caller already built, in group order — the anytime counterpart of
-/// [`groupby_single_oracle_with_ci_stratified`], with the same
-/// bit-identity: stored stratifications of the same proxies and `K` give
-/// the same snapshots and answer as passing the proxies.
+/// The one single-oracle GROUP BY executor with CIs, over per-group
+/// stratifications the caller already built, in group order.
+///
+/// The sampling phase is [`groupby_single_oracle`]'s (same RNG stream,
+/// same oracle spend); the bootstrap runs afterwards on the cached labels
+/// for free. Because the single-oracle setting shares records across
+/// stratifications, the per-stratum draws are not independent the way
+/// Algorithm 2 assumes; the CI here resamples every `(stratification,
+/// stratum)` bucket with replacement and recomputes the full
+/// inverse-variance-weighted estimator per replicate, which treats the
+/// buckets as approximately independent. The approximation is good when
+/// strata are large relative to the overlap and is reported as a
+/// percentile interval of the *actual* estimator, so it always tracks the
+/// point estimate.
+///
+/// `anytime` picks the mode as in [`crate::two_stage::run_abae_stratified`]:
+/// `None` blocks, with no snapshots and the bootstrap on the calling
+/// thread; `Some(p)` labels in chunks with a [`GroupSnapshot`] after each,
+/// and a run that spends its cap ends bit for bit on the blocking answer.
+/// Intermediate snapshot CIs are closed-form and read no RNG: per group,
+/// the `AVG` delta-method variance of every stratification the point
+/// estimate blends, combined with the blend's own inverse-variance weights
+/// as if the stratifications were independent (as the bootstrap assumes
+/// when it resamples each bucket on its own). A group whose estimate takes
+/// the fallback path has no CI. With [`ProgressiveOptions::target_ci_width`]
+/// set, the run stops at the first chunk boundary — once the pilot stage
+/// is complete — where **every** group's snapshot CI is narrower than the
+/// target, charging only the budget consumed; a group without a CI keeps
+/// the run going.
+///
+/// Stored stratifications answer bit for bit like a fresh sort of the
+/// same proxies and `K`.
 ///
 /// # Errors
-/// The same errors, in the same order, as
-/// [`groupby_single_oracle_progressive`].
+/// The errors of [`check`], then a group-count mismatch with the oracle.
 ///
 /// # Panics
 /// Panics unless every stratification has `cfg.strata` strata over one
 /// record count.
-pub fn groupby_single_oracle_progressive_stratified<
-    O: GroupOracle + ?Sized,
-    R: Rng + ?Sized,
->(
+pub fn groupby_single_oracle_stratified<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     stratifications: &[Arc<Stratification>],
     oracle: &O,
     cfg: &GroupByConfig,
     bootstrap: &BootstrapConfig,
-    progressive: &ProgressiveOptions,
+    anytime: Option<&ProgressiveOptions>,
     rng: &mut R,
     mut on_snapshot: impl FnMut(&GroupSnapshot),
-) -> Result<GroupByProgressiveResult, GroupByError> {
-    check_ci(bootstrap, Some(progressive))?;
-    let chunk = progressive.chunk.unwrap_or(cfg.exec.batch_size).max(1);
-    let target = progressive.target_ci_width;
+) -> Result<GroupByResult, GroupByError> {
+    check(cfg, bootstrap, anytime, stratifications.len())?;
+    let (chunk, target, threads) = match anytime {
+        None => (usize::MAX, None, ReplicateThreads::Calling),
+        Some(p) => {
+            let chunk = p.chunk.unwrap_or(cfg.exec.batch_size).max(1);
+            (chunk, p.target_ci_width, ReplicateThreads::FreeCores)
+        }
+    };
 
     let mut stopping: Option<GroupSnapshot> = None;
     let chunked = {
         let mut observe = |state: &SingleOracleRun, spent: u64, pilot_complete: bool| -> bool {
+            if anytime.is_none() {
+                return false;
+            }
             let groups = single_oracle_closed_form_cis(state, bootstrap.alpha);
             // Stop only once the pilot stage is complete: partial-pilot CIs
             // can degenerate to zero width and would stop bogusly. Groups
@@ -718,26 +679,25 @@ pub fn groupby_single_oracle_progressive_stratified<
 
     if chunked.stopped {
         let snap = stopping.expect("a stopped run records its stopping snapshot");
-        return Ok(GroupByProgressiveResult {
-            groups: snap.groups,
-            oracle_calls: chunked.oracle_calls,
-        });
+        return Ok(GroupByResult { groups: snap.groups, oracle_calls: chunked.oracle_calls });
     }
 
-    // Complete run: finish exactly as the blocking executor — bootstrap
-    // CIs from the caller's RNG at the same stream position.
-    let groups =
-        single_oracle_bootstrap_cis_on(ReplicateThreads::FreeCores, &chunked.run, bootstrap, rng);
-    let snap =
-        GroupSnapshot { groups: groups.clone(), budget_spent: chunked.oracle_calls, done: true };
-    on_snapshot(&snap);
-    Ok(GroupByProgressiveResult { groups, oracle_calls: chunked.oracle_calls })
+    // A complete run: bootstrap CIs from the caller's RNG at the same
+    // stream position in either mode.
+    let groups = single_oracle_bootstrap_cis_on(threads, &chunked.run, bootstrap, rng);
+    if anytime.is_some() {
+        on_snapshot(&GroupSnapshot {
+            groups: groups.clone(),
+            budget_spent: chunked.oracle_calls,
+            done: true,
+        });
+    }
+    Ok(GroupByResult { groups, oracle_calls: chunked.oracle_calls })
 }
 
-/// The sampling phase shared by the single-oracle entry points: pilot,
-/// allocation, Stage-2 draws — every oracle charge of the run. The
-/// one-chunk instance of [`single_oracle_chunked`] with an observer that
-/// never stops.
+/// The sampling phase of [`groupby_single_oracle`]: pilot, allocation,
+/// Stage-2 draws — every oracle charge of the run. The one-chunk instance
+/// of [`single_oracle_chunked`] with an observer that never stops.
 fn single_oracle_sample<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     stratifications: &[Arc<Stratification>],
     oracle: &O,
@@ -1457,6 +1417,21 @@ mod ci_tests {
             .unwrap()
     }
 
+    /// The blocking executor over the proxies' quantile stratifications,
+    /// after the checks and the sort a proxy-taking entry point makes.
+    fn blocking_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
+        proxies: &[&[f64]],
+        oracle: &O,
+        cfg: &GroupByConfig,
+        bootstrap: &BootstrapConfig,
+        rng: &mut R,
+    ) -> Result<Vec<GroupEstimateWithCi>, GroupByError> {
+        check(cfg, bootstrap, None, proxies.len())?;
+        let strata = stratify_groups(proxies, oracle, cfg)?;
+        groupby_single_oracle_stratified(&strata, oracle, cfg, bootstrap, None, rng, |_| {})
+            .map(|r| r.groups)
+    }
+
     #[test]
     fn single_oracle_with_ci_matches_plain_variant_and_brackets() {
         let t = two_group_table(30_000, 5);
@@ -1472,7 +1447,7 @@ mod ci_tests {
         let spent = oracle.calls();
         let mut rng = StdRng::seed_from_u64(6);
         let with_ci =
-            groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
+            blocking_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
         assert_eq!(oracle.calls(), 2 * spent, "bootstrap must not charge the oracle");
         for (a, b) in plain.iter().zip(&with_ci) {
             assert_eq!(a.group, b.group);
@@ -1506,7 +1481,7 @@ mod ci_tests {
         let mut rng = StdRng::seed_from_u64(8);
         let bs = BootstrapConfig { trials: 10, alpha: 0.0 };
         assert!(matches!(
-            groupby_single_oracle_with_ci(&proxies, &oracle, &GroupByConfig::default(), &bs, &mut rng),
+            blocking_with_ci(&proxies, &oracle, &GroupByConfig::default(), &bs, &mut rng),
             Err(GroupByError::Config(ConfigError::BadAlpha(_)))
         ));
     }
@@ -1520,8 +1495,7 @@ mod ci_tests {
         let cfg = GroupByConfig { budget: 600, ..Default::default() };
         let bs = BootstrapConfig { trials: 20, alpha: 0.05 };
         let mut rng = StdRng::seed_from_u64(11);
-        let blocking =
-            groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
+        let blocking = blocking_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
         for chunk in [1usize, 50, 4096] {
             let before = oracle.calls();
             let mut rng = StdRng::seed_from_u64(11);
@@ -1545,6 +1519,39 @@ mod ci_tests {
             assert_eq!(last.budget_spent, result.oracle_calls);
             assert!(snaps.iter().rev().skip(1).all(|s| !s.done));
             assert!(snaps.windows(2).all(|w| w[0].budget_spent <= w[1].budget_spent));
+        }
+    }
+
+    #[test]
+    fn a_blocking_run_emits_no_snapshots_and_answers_like_an_uncapped_anytime_run() {
+        use rand::RngCore as _;
+        let t = two_group_table(8_000, 9);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 600, ..Default::default() };
+        let bs = BootstrapConfig { trials: 20, alpha: 0.05 };
+        let strata = stratify_groups(&proxies, &oracle, &cfg).unwrap();
+        let run = |anytime: Option<&ProgressiveOptions>| {
+            let (mut rng, mut snaps) = (StdRng::seed_from_u64(11), 0usize);
+            let result = groupby_single_oracle_stratified(
+                &strata,
+                &oracle,
+                &cfg,
+                &bs,
+                anytime,
+                &mut rng,
+                |_| snaps += 1,
+            );
+            (result.unwrap(), snaps, rng.next_u64())
+        };
+        let (blocking, snaps, next) = run(None);
+        assert_eq!(snaps, 0, "a blocking run reports no snapshot");
+        for chunk in [1usize, 50, 4096] {
+            let (anytime, snaps, after) =
+                run(Some(&ProgressiveOptions { chunk: Some(chunk), target_ci_width: None }));
+            assert_eq!(anytime, blocking, "chunk {chunk}");
+            assert!(snaps >= 1, "chunk {chunk}: {snaps} snapshots");
+            assert_eq!(after, next, "chunk {chunk}");
         }
     }
 
@@ -1618,9 +1625,10 @@ mod ci_tests {
             .collect();
 
         let (mut ours, mut theirs) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
-        let want = groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bs, &mut theirs);
-        let got = groupby_single_oracle_with_ci_stratified(&strata, &oracle, &cfg, &bs, &mut ours);
-        assert_eq!(got.unwrap(), want.unwrap());
+        let want = blocking_with_ci(&proxies, &oracle, &cfg, &bs, &mut theirs);
+        let got =
+            groupby_single_oracle_stratified(&strata, &oracle, &cfg, &bs, None, &mut ours, |_| {});
+        assert_eq!(got.unwrap().groups, want.unwrap());
         assert_eq!(ours.next_u64(), theirs.next_u64());
 
         for target in [None, Some(40.0)] {
@@ -1636,12 +1644,12 @@ mod ci_tests {
                 &mut theirs,
                 |s| want_snaps.push(s.clone()),
             );
-            let got = groupby_single_oracle_progressive_stratified(
+            let got = groupby_single_oracle_stratified(
                 &strata,
                 &oracle,
                 &cfg,
                 &bs,
-                &p,
+                Some(&p),
                 &mut ours,
                 |s| got_snaps.push(s.clone()),
             );
@@ -1655,11 +1663,12 @@ mod ci_tests {
         let mut rng = StdRng::seed_from_u64(5);
         let zero_k = GroupByConfig { strata: 0, ..cfg };
         let bad_alpha = BootstrapConfig { alpha: 1.0, ..bs };
-        let err = groupby_single_oracle_with_ci_stratified(
-            &strata, &oracle, &zero_k, &bad_alpha, &mut rng,
+        let err = groupby_single_oracle_stratified(
+            &strata, &oracle, &zero_k, &bad_alpha, None, &mut rng, |_| {},
         );
         assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::BadAlpha(1.0)));
-        let err = groupby_single_oracle_with_ci_stratified(&strata, &oracle, &zero_k, &bs, &mut rng);
+        let err =
+            groupby_single_oracle_stratified(&strata, &oracle, &zero_k, &bs, None, &mut rng, |_| {});
         assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::ZeroStrata));
     }
 
@@ -1941,7 +1950,8 @@ mod ci_tests {
             let bootstrap = BootstrapConfig { trials, alpha: 0.05 };
             let mut ours = StdRng::seed_from_u64(seed ^ 1);
             let mut theirs = ours.clone();
-            let got = single_oracle_bootstrap_cis(&run, &bootstrap, &mut ours);
+            let threads = ReplicateThreads::Calling;
+            let got = single_oracle_bootstrap_cis_on(threads, &run, &bootstrap, &mut ours);
             let want = reference_bootstrap_cis(&run, &bootstrap, &mut theirs);
             proptest::prop_assert_eq!(group_bits(&got), group_bits(&want));
             proptest::prop_assert_eq!(ours.next_u64(), theirs.next_u64());
@@ -2123,12 +2133,12 @@ mod ci_tests {
         .unwrap();
         let mut snaps = Vec::new();
         let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
-        groupby_single_oracle_progressive_stratified(
+        groupby_single_oracle_stratified(
             &strata,
             &oracle,
             cfg,
             bootstrap,
-            &opts,
+            Some(&opts),
             &mut StdRng::seed_from_u64(seed),
             |s| snaps.push(s.clone()),
         )
@@ -2232,7 +2242,8 @@ mod ci_tests {
         let bootstrap = BootstrapConfig { trials: 64, alpha: 0.05 };
         let mut ours = StdRng::seed_from_u64(10);
         let mut theirs = ours.clone();
-        let got = single_oracle_bootstrap_cis(&run, &bootstrap, &mut ours);
+        let got =
+            single_oracle_bootstrap_cis_on(ReplicateThreads::Calling, &run, &bootstrap, &mut ours);
         let want = reference_bootstrap_cis(&run, &bootstrap, &mut theirs);
         assert_eq!(group_bits(&got), group_bits(&want));
         use rand::RngCore as _;

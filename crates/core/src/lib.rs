@@ -68,8 +68,7 @@ pub use pipeline::ExecOptions;
 pub use strata::Stratification;
 pub use stratum_stats::{merge_states, StratumStats, TaggedDraw};
 pub use two_stage::{
-    run_abae, run_abae_multi_progressive, run_abae_multi_progressive_stratified,
-    run_abae_multi_with_ci, run_abae_multi_with_ci_stratified, run_abae_with_ci, AbaeResult,
+    run_abae, run_abae_multi_progressive, run_abae_stratified, run_abae_with_ci, AbaeResult,
     AggAnswer, MultiAggResult, ProgressiveOptions, Snapshot, TwoStageRun,
 };
 pub use uniform::{run_uniform, run_uniform_with_ci};

@@ -8,15 +8,17 @@
 //! samples of both stages (sample reuse; §5.3 shows disabling it —
 //! [`SampleReuse::Disabled`] — costs substantial accuracy).
 //!
-//! Both the blocking entry points and the anytime entry point
-//! ([`run_abae_multi_progressive`]) run on one chunked core: labeling
-//! proceeds in budget chunks, each chunk's labels fold into mergeable
+//! One executor, [`run_abae_stratified`], runs Algorithm 2 over a stored
+//! stratification in either mode, on one chunked core: labeling proceeds
+//! in budget chunks, each chunk's labels fold into mergeable
 //! [`StratumStats`] (a commutative monoid, so chunk boundaries cannot
-//! change the accumulated state), and after every chunk a
-//! [`Snapshot`] — a statistically valid estimate of the same query —
-//! can be emitted. The blocking path is simply the one-chunk instance.
-//! All randomness (which records to draw) stays on the caller's RNG in a
-//! fixed order. An intermediate snapshot's CIs are closed-form
+//! change the accumulated state), and in anytime mode a [`Snapshot`] — a
+//! statistically valid estimate of the same query — is emitted after
+//! every chunk. Blocking mode is simply the one-chunk instance with no
+//! snapshots. The entry points that take scores ([`run_abae_with_ci`],
+//! [`run_abae_multi_progressive`]) check, stratify once and delegate to
+//! it. All randomness (which records to draw) stays on the caller's RNG
+//! in a fixed order. An intermediate snapshot's CIs are closed-form
 //! ([`closed_form_ci`] over the merged strata), so a snapshot reads no
 //! RNG and costs O(K) once its strata are folded. A run that spends its
 //! cap ends with Algorithm 2's bootstrap on the caller's stream, so its
@@ -30,7 +32,7 @@
 //! closed-form snapshots a progressive run pays for at most one
 //! bootstrap, when it spends its cap.
 
-use crate::bootstrap::{bootstrap_cis_on, stratified_bootstrap_cis};
+use crate::bootstrap::bootstrap_cis_on;
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
 use crate::estimator::{combine_estimate, StratumEstimate};
 use crate::normal_ci::closed_form_ci;
@@ -89,8 +91,8 @@ pub struct AggAnswer {
     pub ci: Option<ConfidenceInterval>,
 }
 
-/// Result of [`run_abae_multi_with_ci`]: one answer per requested
-/// aggregate, all paid for by a single oracle budget.
+/// Result of [`run_abae_stratified`]: one answer per requested aggregate,
+/// all paid for by a single oracle budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiAggResult {
     /// Answers in the order the aggregates were requested.
@@ -118,7 +120,9 @@ pub struct Snapshot {
     pub done: bool,
 }
 
-/// Knobs of the anytime executor ([`run_abae_multi_progressive`]).
+/// Knobs of anytime mode: passed as `Some` to [`run_abae_stratified`]
+/// (or to [`run_abae_multi_progressive`]), they make a run label in chunks
+/// and report a [`Snapshot`] after each.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProgressiveOptions {
     /// Oracle labels per chunk between snapshots. `None` uses the exec
@@ -134,8 +138,8 @@ pub struct ProgressiveOptions {
 
 impl ProgressiveOptions {
     /// Checks the early-stop target, which must be unset or a positive
-    /// finite number. The progressive executors run this before any work,
-    /// so a caller that stratifies on its own can check it first too.
+    /// finite number. An anytime run checks this before any work, so a
+    /// caller that stratifies on its own can check it first too.
     ///
     /// # Errors
     /// [`ConfigError::BadTargetWidth`] for any other target.
@@ -399,7 +403,8 @@ pub fn run_abae<O: Oracle, R: Rng + ?Sized>(
 }
 
 /// Runs ABae and attaches a bootstrap percentile CI (`ABaeWithCI`,
-/// Algorithm 2).
+/// Algorithm 2): validates `config`, stratifies the scores (`ABaeInit`)
+/// and runs [`run_abae_stratified`] in blocking mode.
 pub fn run_abae_with_ci<O: Oracle, R: Rng + ?Sized>(
     proxy_scores: &[f64],
     oracle: &O,
@@ -407,73 +412,11 @@ pub fn run_abae_with_ci<O: Oracle, R: Rng + ?Sized>(
     agg: Aggregate,
     rng: &mut R,
 ) -> Result<AbaeResult, ConfigError> {
-    let mut multi = run_abae_multi_with_ci(proxy_scores, oracle, config, &[agg], rng)?;
-    let answer = multi.answers.pop().expect("one aggregate requested");
-    Ok(AbaeResult {
-        estimate: answer.estimate,
-        ci: answer.ci,
-        oracle_calls: multi.oracle_calls,
-    })
-}
-
-/// Runs ABae **once** and answers several aggregates from the one labeled
-/// sample — the shared-labeling pass behind multi-aggregate `SELECT`s.
-///
-/// Algorithm 1's sampling does not depend on which aggregate is asked for:
-/// the draws, the pilot estimates, and the `√p̂_k·σ̂_k` allocation are all
-/// functions of the predicate and the statistic alone. One run therefore
-/// yields per-stratum sufficient statistics (`p̂_k`, `μ̂_k`, `σ̂_k`,
-/// `|S_k|`, sampled positives — [`StratumEstimate`]) from which *every*
-/// aggregate is a cheap [`combine_estimate`] fold, and Algorithm 2's
-/// bootstrap resamples once per replicate while scoring all aggregates on
-/// the same resample ([`stratified_bootstrap_cis`]). `SELECT COUNT(*),
-/// SUM(views), AVG(views)` thus spends exactly one oracle budget.
-///
-/// With a single aggregate this consumes the same RNG stream as
-/// [`run_abae_with_ci`] (which delegates here), so seeded results are
-/// stable. An empty `aggs` still runs the sampling pass and returns no
-/// answers.
-///
-/// This validates `config`, stratifies the scores (`ABaeInit`) and runs
-/// [`run_abae_multi_with_ci_stratified`].
-pub fn run_abae_multi_with_ci<O: Oracle, R: Rng + ?Sized>(
-    proxy_scores: &[f64],
-    oracle: &O,
-    config: &AbaeConfig,
-    aggs: &[Aggregate],
-    rng: &mut R,
-) -> Result<MultiAggResult, ConfigError> {
     config.validate()?;
     let strat = Stratification::by_proxy_quantile(proxy_scores, config.strata);
-    run_abae_multi_with_ci_stratified(&strat, oracle, config, aggs, rng)
-}
-
-/// [`run_abae_multi_with_ci`] on a stratification the caller already
-/// built, so one `ABaeInit` sort can serve any number of runs over the
-/// same scores. A stratification depends only on the scores and `K`, so
-/// passing a stored one gives the same answer, bit for bit, as passing
-/// the scores. As in [`run_two_stage`], the stratification's own `K` is
-/// the one sampled.
-///
-/// # Errors
-/// Returns the configuration's validation error, if any.
-pub fn run_abae_multi_with_ci_stratified<O: Oracle, R: Rng + ?Sized>(
-    strat: &Stratification,
-    oracle: &O,
-    config: &AbaeConfig,
-    aggs: &[Aggregate],
-    rng: &mut R,
-) -> Result<MultiAggResult, ConfigError> {
-    let primary = aggs.first().copied().unwrap_or(Aggregate::Avg);
-    let run = run_two_stage(strat, oracle, config, primary, rng)?;
-    let sizes = strat.sizes();
-    let cis = stratified_bootstrap_cis(&run.samples, &sizes, aggs, &config.bootstrap, rng);
-    let answers = aggs
-        .iter()
-        .zip(cis)
-        .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &run.strata), ci })
-        .collect();
-    Ok(MultiAggResult { answers, oracle_calls: run.oracle_calls })
+    let mut multi = run_abae_stratified(&strat, oracle, config, &[agg], None, rng, |_| {})?;
+    let answer = multi.answers.pop().expect("one aggregate requested");
+    Ok(AbaeResult { estimate: answer.estimate, ci: answer.ci, oracle_calls: multi.oracle_calls })
 }
 
 /// Builds one intermediate snapshot from the merged per-stratum states:
@@ -497,36 +440,12 @@ fn snapshot_from_stats(
     Snapshot { answers, budget_spent, done: false }
 }
 
-/// The anytime executor: runs the same query as [`run_abae_multi_with_ci`]
-/// but labels in budget chunks, invoking `on_snapshot` after every chunk
-/// with a statistically valid estimate of the query so far.
-///
-/// Semantics:
-///
-/// * Without a CI width target the run spends the full budget and the
-///   final snapshot (`done == true`) — estimates, CIs, and `oracle_calls`
-///   — is **bit-identical** to the blocking run with the same seed, for
-///   any chunk size and any thread count. The returned result equals that
-///   final snapshot.
-/// * With [`ProgressiveOptions::target_ci_width`] set, the run stops at
-///   the first chunk boundary — once the pilot stage is complete and the
-///   merged strata hold a positive — where the primary (first)
-///   aggregate's closed-form snapshot CI is narrower than the target,
-///   charging only the budget actually consumed; the answer is the
-///   snapshot that met the target. A snapshot without a CI never stops
-///   the run.
-/// * Intermediate snapshots carry closed-form CIs and read no RNG; a run
-///   that spends its cap ends with the bootstrap, so
-///   [`crate::config::BootstrapConfig::trials`] sets only that final
-///   answer's CI.
-///
-/// This validates `config` and `progressive`, stratifies the scores
-/// (`ABaeInit`) and runs [`run_abae_multi_progressive_stratified`].
+/// The anytime run over the scores: validates `config` and `progressive`,
+/// stratifies the scores (`ABaeInit`) and runs [`run_abae_stratified`] in
+/// anytime mode.
 ///
 /// # Errors
-/// Returns the configuration's validation error, or
-/// [`ConfigError::BadTargetWidth`] when the target is not a positive
-/// finite number.
+/// As [`run_abae_stratified`].
 pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
     proxy_scores: &[f64],
     oracle: &O,
@@ -539,45 +458,74 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
     config.validate()?;
     progressive.validate()?;
     let strat = Stratification::by_proxy_quantile(proxy_scores, config.strata);
-    run_abae_multi_progressive_stratified(
-        &strat,
-        oracle,
-        config,
-        aggs,
-        progressive,
-        rng,
-        on_snapshot,
-    )
+    run_abae_stratified(&strat, oracle, config, aggs, Some(progressive), rng, on_snapshot)
 }
 
-/// [`run_abae_multi_progressive`] on a stratification the caller already
-/// built — the anytime counterpart of
-/// [`run_abae_multi_with_ci_stratified`], with the same bit-identity: a
-/// stored stratification of the same scores and `K` gives the same
-/// snapshots and answer as passing the scores.
+/// The one scalar executor: runs ABae **once** over a stratification the
+/// caller already built and answers several aggregates from the one
+/// labeled sample, with Algorithm 2's CIs.
+///
+/// Algorithm 1's sampling does not depend on the aggregate: the draws,
+/// the pilot estimates and the `√p̂_k·σ̂_k` allocation are functions of
+/// the predicate and the statistic alone. So every aggregate is a cheap
+/// [`combine_estimate`] fold over one run's per-stratum sufficient
+/// statistics ([`StratumEstimate`]), and the bootstrap scores all of them
+/// on each resample: `SELECT COUNT(*), SUM(v), AVG(v)` spends one oracle
+/// budget. An empty `aggs` still samples and returns no answers.
+///
+/// `anytime` picks the mode:
+///
+/// * `None` — blocking: one labeling request per stage, no snapshots
+///   (`on_snapshot` is never called), and the bootstrap on the calling
+///   thread: [`run_two_stage`], then
+///   [`stratified_bootstrap_cis`](crate::bootstrap::stratified_bootstrap_cis)
+///   on the same stream, bit for bit.
+/// * `Some(p)` — anytime: labeling in chunks of
+///   [`ProgressiveOptions::chunk`] labels, with a [`Snapshot`] after each;
+///   intermediate snapshots carry closed-form CIs and read no RNG. A run
+///   that spends its cap ends with the bootstrap split across free cores,
+///   so its final snapshot (`done`) and answer are **bit-identical** to
+///   the blocking answer for any chunk size and thread count. With
+///   [`ProgressiveOptions::target_ci_width`] set, the run stops at the
+///   first chunk boundary — once the pilot stage is complete and the
+///   merged strata hold a positive — where the primary (first) aggregate's
+///   snapshot CI is narrower than the target, charging only the budget
+///   consumed, and answers with that snapshot. A snapshot without a CI
+///   never stops the run.
+///
+/// A stratification depends only on the scores and `K`, so a stored one
+/// answers bit for bit like a fresh sort; its own `K` is the one sampled.
 ///
 /// # Errors
 /// Returns the configuration's validation error, or
-/// [`ConfigError::BadTargetWidth`] when the target is not a positive
-/// finite number.
-pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
+/// [`ConfigError::BadTargetWidth`] when an anytime target is not a
+/// positive finite number.
+pub fn run_abae_stratified<O: Oracle, R: Rng + ?Sized>(
     strat: &Stratification,
     oracle: &O,
     config: &AbaeConfig,
     aggs: &[Aggregate],
-    progressive: &ProgressiveOptions,
+    anytime: Option<&ProgressiveOptions>,
     rng: &mut R,
     mut on_snapshot: impl FnMut(&Snapshot),
 ) -> Result<MultiAggResult, ConfigError> {
     config.validate()?;
-    progressive.validate()?;
+    let (chunk, target, threads) = match anytime {
+        None => (usize::MAX, None, ReplicateThreads::Calling),
+        Some(p) => {
+            p.validate()?;
+            let chunk = p.chunk.unwrap_or(config.exec.batch_size).max(1);
+            (chunk, p.target_ci_width, ReplicateThreads::FreeCores)
+        }
+    };
     let sizes = strat.sizes();
-    let chunk = progressive.chunk.unwrap_or(config.exec.batch_size).max(1);
-    let target = progressive.target_ci_width;
 
     let mut stopping: Option<Snapshot> = None;
     let run = {
         let mut observe = |stats: &[StratumStats], spent: u64, pilot_complete: bool| -> bool {
+            if anytime.is_none() {
+                return false;
+            }
             let mut snap = snapshot_from_stats(stats, aggs, config.bootstrap.alpha, spent);
             // The stopping rule only applies once the pilot stage is
             // complete: partial-pilot CIs can degenerate to zero width
@@ -605,33 +553,28 @@ pub fn run_abae_multi_progressive_stratified<O: Oracle, R: Rng + ?Sized>(
         return Ok(MultiAggResult { answers: snap.answers, oracle_calls: run.oracle_calls });
     }
 
-    // Complete run: finish exactly as the blocking executor does — final
-    // estimates from the draw-order samples, bootstrap CIs from the
-    // caller's RNG at the same stream position.
+    // A complete run: final estimates from the draw-order samples,
+    // bootstrap CIs from the caller's RNG at the same stream position in
+    // either mode.
     let strata: Vec<StratumEstimate> = run
         .samples
         .iter()
         .enumerate()
         .map(|(s, draws)| StratumEstimate::from_draws(sizes[s], draws))
         .collect();
-    let cis = bootstrap_cis_on(
-        ReplicateThreads::FreeCores,
-        &run.samples,
-        &sizes,
-        aggs,
-        &config.bootstrap,
-        rng,
-    );
+    let cis = bootstrap_cis_on(threads, &run.samples, &sizes, aggs, &config.bootstrap, rng);
     let answers: Vec<AggAnswer> = aggs
         .iter()
         .zip(cis)
         .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &strata), ci })
         .collect();
-    on_snapshot(&Snapshot {
-        answers: answers.clone(),
-        budget_spent: run.budget_spent,
-        done: true,
-    });
+    if anytime.is_some() {
+        on_snapshot(&Snapshot {
+            answers: answers.clone(),
+            budget_spent: run.budget_spent,
+            done: true,
+        });
+    }
     Ok(MultiAggResult { answers, oracle_calls: run.oracle_calls })
 }
 
@@ -657,6 +600,18 @@ mod tests {
         values: Vec<f64>,
     ) -> FnOracle<impl Fn(usize) -> Labeled> {
         FnOracle::new(move |i| Labeled { matches: labels[i], value: values[i] })
+    }
+
+    /// The blocking executor over the scores' quantile stratification.
+    fn run_blocking<O: Oracle>(
+        scores: &[f64],
+        oracle: &O,
+        cfg: &AbaeConfig,
+        aggs: &[Aggregate],
+        rng: &mut StdRng,
+    ) -> Result<MultiAggResult, ConfigError> {
+        let strat = Stratification::by_proxy_quantile(scores, cfg.strata);
+        run_abae_stratified(&strat, oracle, cfg, aggs, None, rng, |_| {})
     }
 
     fn exact_avg(labels: &[bool], values: &[f64]) -> f64 {
@@ -846,7 +801,7 @@ mod tests {
         };
         let aggs = [Aggregate::Count, Aggregate::Sum, Aggregate::Avg];
         let mut rng = StdRng::seed_from_u64(20);
-        let multi = run_abae_multi_with_ci(&scores, &oracle, &cfg, &aggs, &mut rng).unwrap();
+        let multi = run_blocking(&scores, &oracle, &cfg, &aggs, &mut rng).unwrap();
         assert_eq!(multi.answers.len(), 3);
         // One budget for three answers: the whole run spent what a
         // single-aggregate run spends.
@@ -874,7 +829,7 @@ mod tests {
         let oracle = oracle_for(labels, values);
         let cfg = AbaeConfig { budget: 500, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(21);
-        let multi = run_abae_multi_with_ci(&scores, &oracle, &cfg, &[], &mut rng).unwrap();
+        let multi = run_blocking(&scores, &oracle, &cfg, &[], &mut rng).unwrap();
         assert!(multi.answers.is_empty());
         assert!(multi.oracle_calls <= 500);
     }
@@ -890,7 +845,7 @@ mod tests {
         };
         let aggs = [Aggregate::Avg, Aggregate::Count];
         let mut rng = StdRng::seed_from_u64(42);
-        let blocking = run_abae_multi_with_ci(&scores, &oracle, &cfg, &aggs, &mut rng).unwrap();
+        let blocking = run_blocking(&scores, &oracle, &cfg, &aggs, &mut rng).unwrap();
         for chunk in [1usize, 7, 64, 4096] {
             let oracle = oracle_for(labels.clone(), values.clone());
             let mut rng = StdRng::seed_from_u64(42);
@@ -928,8 +883,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(23);
-        let blocking =
-            run_abae_multi_with_ci(&scores, &oracle, &cfg, &[Aggregate::Avg], &mut rng).unwrap();
+        let blocking = run_blocking(&scores, &oracle, &cfg, &[Aggregate::Avg], &mut rng).unwrap();
         let oracle = oracle_for(labels, values);
         let mut rng = StdRng::seed_from_u64(23);
         let opts = ProgressiveOptions { chunk: Some(16), target_ci_width: None };
@@ -1003,8 +957,7 @@ mod tests {
         .unwrap();
         let oracle = oracle_for(labels, values);
         let mut rng = StdRng::seed_from_u64(5);
-        let blocking =
-            run_abae_multi_with_ci(&scores, &oracle, &cfg, &[Aggregate::Avg], &mut rng).unwrap();
+        let blocking = run_blocking(&scores, &oracle, &cfg, &[Aggregate::Avg], &mut rng).unwrap();
         assert_eq!(progressive, blocking, "an unmet target must not change the answer");
     }
 
@@ -1023,10 +976,9 @@ mod tests {
         for seed in [1u64, 2] {
             let oracle = || oracle_for(labels.clone(), values.clone());
             let rng = || StdRng::seed_from_u64(seed);
-            let blocking =
-                run_abae_multi_with_ci(&scores, &oracle(), &cfg, &aggs, &mut rng()).unwrap();
+            let blocking = run_blocking(&scores, &oracle(), &cfg, &aggs, &mut rng()).unwrap();
             let stored =
-                run_abae_multi_with_ci_stratified(&strat, &oracle(), &cfg, &aggs, &mut rng())
+                run_abae_stratified(&strat, &oracle(), &cfg, &aggs, None, &mut rng(), |_| {})
                     .unwrap();
             assert_eq!(stored, blocking, "seed {seed}");
 
@@ -1041,12 +993,12 @@ mod tests {
                 |s| a.push(s.clone()),
             )
             .unwrap();
-            let stored = run_abae_multi_progressive_stratified(
+            let stored = run_abae_stratified(
                 &strat,
                 &oracle(),
                 &cfg,
                 &aggs,
-                &opts,
+                Some(&opts),
                 &mut rng(),
                 |s| b.push(s.clone()),
             )
@@ -1056,12 +1008,12 @@ mod tests {
         }
         // The stratified forms validate like the wrappers do.
         let bad = ProgressiveOptions { chunk: None, target_ci_width: Some(0.0) };
-        let err = run_abae_multi_progressive_stratified(
+        let err = run_abae_stratified(
             &strat,
             &oracle_for(labels, values),
             &cfg,
             &aggs,
-            &bad,
+            Some(&bad),
             &mut StdRng::seed_from_u64(3),
             |_| {},
         )
@@ -1167,12 +1119,12 @@ mod tests {
             );
             let mut snaps: Vec<Snapshot> = Vec::new();
             let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
-            run_abae_multi_progressive_stratified(
+            run_abae_stratified(
                 &strat,
                 &oracle_for(labels.clone(), values.clone()),
                 &cfg,
                 &aggs,
-                &opts,
+                Some(&opts),
                 &mut StdRng::seed_from_u64(17),
                 |s| snaps.push(s.clone()),
             )
@@ -1212,12 +1164,12 @@ mod tests {
         let opts = ProgressiveOptions { chunk: Some(100), target_ci_width: Some(1.5) };
         let oracle = oracle_for(labels, values);
         let mut snaps: Vec<Snapshot> = Vec::new();
-        let result = run_abae_multi_progressive_stratified(
+        let result = run_abae_stratified(
             &strat,
             &oracle,
             &cfg,
             &aggs,
-            &opts,
+            Some(&opts),
             &mut StdRng::seed_from_u64(9),
             |s| snaps.push(s.clone()),
         )
@@ -1248,7 +1200,7 @@ mod tests {
         };
         let aggs = [Aggregate::Avg, Aggregate::Count];
         let mut blocking_rng = StdRng::seed_from_u64(13);
-        let blocking = run_abae_multi_with_ci(
+        let blocking = run_blocking(
             &scores,
             &oracle_for(labels.clone(), values.clone()),
             &cfg,
@@ -1273,6 +1225,43 @@ mod tests {
             assert!(snapshots > 2, "{target:?}");
             assert_eq!(progressive, blocking, "{target:?}");
             assert_eq!(rng.next_u64(), blocking_rng.clone().next_u64(), "{target:?}");
+        }
+    }
+
+    #[test]
+    fn a_blocking_run_is_two_stage_then_the_bootstrap_on_one_stream() {
+        use crate::bootstrap::stratified_bootstrap_cis;
+        use rand::RngCore as _;
+        let (scores, labels, values) = make_population(10_000);
+        let aggs = [Aggregate::Avg, Aggregate::Count, Aggregate::Sum];
+        let bootstrap = crate::config::BootstrapConfig { trials: 50, alpha: 0.05 };
+        for reuse in [SampleReuse::Enabled, SampleReuse::Disabled] {
+            let cfg = AbaeConfig { budget: 900, reuse, bootstrap, ..Default::default() };
+            let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+            // Algorithm 1, then Algorithm 2's bootstrap, on one stream.
+            let mut theirs = StdRng::seed_from_u64(29);
+            let oracle = oracle_for(labels.clone(), values.clone());
+            let run = run_two_stage(&strat, &oracle, &cfg, aggs[0], &mut theirs).unwrap();
+            let sizes = strat.sizes();
+            let cis = stratified_bootstrap_cis(&run.samples, &sizes, &aggs, &bootstrap, &mut theirs);
+            let want: Vec<_> = aggs
+                .iter()
+                .zip(cis)
+                .map(|(&agg, ci)| (agg, combine_estimate(agg, &run.strata).to_bits(), ci_bits(ci)))
+                .collect();
+
+            let (mut ours, mut snapshots) = (StdRng::seed_from_u64(29), 0usize);
+            let oracle = oracle_for(labels.clone(), values.clone());
+            let got = run_abae_stratified(&strat, &oracle, &cfg, &aggs, None, &mut ours, |_| {
+                snapshots += 1
+            })
+            .unwrap();
+            let bits: Vec<_> =
+                got.answers.iter().map(|a| (a.agg, a.estimate.to_bits(), ci_bits(a.ci))).collect();
+            assert_eq!(bits, want, "{reuse:?}");
+            assert_eq!(got.oracle_calls, run.oracle_calls, "{reuse:?}");
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "{reuse:?}");
+            assert_eq!(snapshots, 0, "{reuse:?}");
         }
     }
 }

@@ -21,17 +21,13 @@ use crate::result::{AggRow, GroupRow, QueryError, QueryResult, QuerySnapshot};
 use abae_core::batcher::{GovernedOracle, OracleBatcher};
 use abae_core::config::{AbaeConfig, Aggregate, BootstrapConfig};
 use abae_core::groupby::{
-    groupby_single_oracle_progressive_stratified, groupby_single_oracle_with_ci_stratified,
-    single_oracle_pilot, GroupByConfig, GroupByError, GroupSnapshot,
+    self, groupby_single_oracle_stratified, single_oracle_pilot, GroupByConfig, GroupSnapshot,
 };
 use abae_core::multipred::{expression_oracle, PredExpr};
-use abae_core::two_stage::{
-    run_abae_multi_progressive_stratified, run_abae_multi_with_ci_stratified, MultiAggResult,
-    ProgressiveOptions, Snapshot,
-};
+use abae_core::two_stage::{run_abae_stratified, ProgressiveOptions, Snapshot};
 use abae_core::Stratification;
 use abae_data::columnar::F64Column;
-use abae_data::{CachedOracle, Oracle, SingleGroupOracle, Table, TrainedProxy};
+use abae_data::{CachedOracle, SingleGroupOracle, Table, TrainedProxy};
 use abae_stats::bootstrap::ConfidenceInterval;
 use rand::Rng;
 use std::sync::Arc;
@@ -375,40 +371,13 @@ fn group_columns(
 /// source of randomness; for a fixed stream the result is bit-identical
 /// regardless of thread count, cache state, or concurrent sessions.
 ///
-/// A query with an `UNTIL CI WIDTH` clause routes through the anytime
-/// executors and may stop before the budget cap; everything else takes the
-/// blocking path unchanged.
+/// Every statement kind makes one executor call, in anytime mode when the
+/// statement has an `UNTIL CI WIDTH` clause or `observer` is set: the
+/// observer then sees an intermediate answer after every labeling chunk
+/// (closed-form CIs that read no RNG), and the run may stop before the
+/// budget cap. Unless a target stops it early, the result is bit-identical
+/// to a blocking run with the same stream.
 pub(crate) fn run_plan<R: Rng + ?Sized>(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    opts: &EngineOptions,
-    bindings: &Bindings,
-    rng: &mut R,
-    ctx: &ExecCtx<'_>,
-) -> Result<QueryResult, QueryError> {
-    run_plan_inner(catalog, plan, opts, bindings, rng, ctx, None)
-}
-
-/// Executes a plan progressively: `on_snapshot` fires after every labeling
-/// chunk with a statistically valid intermediate answer for the same query
-/// (estimates from the labels so far; closed-form CIs that read no RNG). When
-/// no `UNTIL CI WIDTH` target stops the run early, the returned result is
-/// bit-identical to [`run_plan`] with the same stream — snapshots change
-/// when progress is reported, never what is drawn.
-pub(crate) fn run_plan_progressive<R: Rng + ?Sized>(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    opts: &EngineOptions,
-    bindings: &Bindings,
-    rng: &mut R,
-    ctx: &ExecCtx<'_>,
-    on_snapshot: &mut dyn FnMut(&QuerySnapshot),
-) -> Result<QueryResult, QueryError> {
-    run_plan_inner(catalog, plan, opts, bindings, rng, ctx, Some(on_snapshot))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_plan_inner<R: Rng + ?Sized>(
     catalog: &Catalog,
     plan: &QueryPlan,
     opts: &EngineOptions,
@@ -450,8 +419,7 @@ fn run_plan_inner<R: Rng + ?Sized>(
                 exec: opts.exec,
                 ..Default::default()
             };
-            // Without an `UNTIL` target or an observer this is the blocking
-            // path, byte for byte the pre-anytime executor.
+            // Without an `UNTIL` target or an observer the run is blocking.
             let progressive = (width.is_some() || observer.is_some())
                 .then_some(ProgressiveOptions { chunk: None, target_ci_width: width });
             // Validate before stratifying, as core does: an invalid
@@ -466,7 +434,7 @@ fn run_plan_inner<R: Rng + ?Sized>(
                 .map_err(QueryError::Table)?;
             // One labeling pass answers every aggregate of the SELECT list.
             let aggs: Vec<Aggregate> = query.aggs.iter().map(|a| a.func.to_core()).collect();
-            let mut emit = |snap: &Snapshot| {
+            let emit = |snap: &Snapshot| {
                 if let Some(obs) = observer.as_deref_mut() {
                     obs(&QuerySnapshot {
                         rows: rows_from_answers(query, &snap.answers),
@@ -476,6 +444,7 @@ fn run_plan_inner<R: Rng + ?Sized>(
                     });
                 }
             };
+            let anytime = progressive.as_ref();
             let (multi, cache_hits, cache_misses) = match catalog.label_store() {
                 // Cross-query reuse: route labeling through the store's
                 // entry for this (table, predicate) pair — cached verdicts
@@ -483,15 +452,16 @@ fn run_plan_inner<R: Rng + ?Sized>(
                 Some(store) => {
                     let cached = CachedOracle::new(oracle, store, &query.table, pred_key);
                     let multi =
-                        run_scalar(&strata, &cached, &config, &aggs, progressive, rng, &mut emit)?;
+                        run_abae_stratified(&strata, &cached, &config, &aggs, anytime, rng, emit);
                     (multi, cached.hits(), cached.misses())
                 }
-                None => (
-                    run_scalar(&strata, &oracle, &config, &aggs, progressive, rng, &mut emit)?,
-                    0,
-                    0,
-                ),
+                None => {
+                    let multi =
+                        run_abae_stratified(&strata, &oracle, &config, &aggs, anytime, rng, emit);
+                    (multi, 0, 0)
+                }
             };
+            let multi = multi.map_err(QueryError::Config)?;
             if cache_hits > 0 {
                 // Cache-served records never reached the batcher; report
                 // them so EXPLAIN/stats show the slots the warm store saved.
@@ -515,27 +485,6 @@ fn run_plan_inner<R: Rng + ?Sized>(
             observer,
         ),
     }
-}
-
-/// Runs a validated scalar statement over its stratification: the
-/// blocking executor, or the anytime one when `progressive` is set (then
-/// `emit` sees every snapshot).
-fn run_scalar<O: Oracle, R: Rng + ?Sized>(
-    strata: &Stratification,
-    oracle: &O,
-    config: &AbaeConfig,
-    aggs: &[Aggregate],
-    progressive: Option<ProgressiveOptions>,
-    rng: &mut R,
-    emit: &mut dyn FnMut(&Snapshot),
-) -> Result<MultiAggResult, QueryError> {
-    match progressive {
-        None => run_abae_multi_with_ci_stratified(strata, oracle, config, aggs, rng),
-        Some(p) => {
-            run_abae_multi_progressive_stratified(strata, oracle, config, aggs, &p, rng, emit)
-        }
-    }
-    .map_err(QueryError::Config)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -564,11 +513,6 @@ fn run_groupby<R: Rng + ?Sized>(
         governor_group_key(&query.table),
         ctx.session,
     );
-    // Spend is reported as a delta from here, so attribution stays exact
-    // even for an oracle instance that has labeled before (today each
-    // query builds a fresh instance; the delta makes that structural
-    // rather than assumed).
-    let calls_before = oracle.calls();
     let cfg = GroupByConfig {
         strata: opts.strata,
         budget,
@@ -577,17 +521,13 @@ fn run_groupby<R: Rng + ?Sized>(
         ..Default::default()
     };
     let bootstrap = BootstrapConfig { trials: opts.bootstrap_trials, alpha: 1.0 - probability };
-    // Without an `UNTIL` target or an observer this is the blocking path,
-    // byte for byte the pre-anytime executor.
+    // Without an `UNTIL` target or an observer the run is blocking.
     let progressive = (width.is_some() || observer.is_some())
         .then_some(ProgressiveOptions { chunk: None, target_ci_width: width });
-    // Validate before stratifying, in core's order — the bootstrap alpha,
-    // the `UNTIL` target, then the configuration — so an invalid statement
-    // fails with the same error and sorts nothing.
-    let config_error = |e| QueryError::GroupBy(GroupByError::Config(e));
-    bootstrap.validate().map_err(config_error)?;
-    progressive.as_ref().map_or(Ok(()), ProgressiveOptions::validate).map_err(config_error)?;
-    cfg.validate(groups.len()).map_err(QueryError::GroupBy)?;
+    // Check before stratifying, with core's checks in core's order, so an
+    // invalid statement fails with the same error and sorts nothing.
+    groupby::check(&cfg, &bootstrap, progressive.as_ref(), groups.len())
+        .map_err(QueryError::GroupBy)?;
     // One shared stratification per group, by the group's own predicate
     // column, in group order.
     let strata: Vec<Arc<Stratification>> = columns
@@ -616,20 +556,12 @@ fn run_groupby<R: Rng + ?Sized>(
         (summary, rows)
     };
 
-    let Some(progressive) = progressive else {
-        let estimates =
-            groupby_single_oracle_with_ci_stratified(&strata, &oracle, &cfg, &bootstrap, rng)
-                .map_err(QueryError::GroupBy)?;
-        let (summary, rows) = to_rows(&estimates);
-        let calls = oracle.calls() - calls_before;
-        return Ok(QueryResult::new(vec![summary], calls, 0, 0, Some(rows)));
-    };
-    let result = groupby_single_oracle_progressive_stratified(
+    let result = groupby_single_oracle_stratified(
         &strata,
         &oracle,
         &cfg,
         &bootstrap,
-        &progressive,
+        progressive.as_ref(),
         rng,
         |snap: &GroupSnapshot| {
             if let Some(obs) = observer.as_deref_mut() {
@@ -1004,13 +936,15 @@ mod tests {
             &Bindings::default(),
             &mut rng,
             &ExecCtx::for_tests(),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, QueryError::UnboundParameter("ORACLE LIMIT ?")), "{err}");
         // Binding the parameter makes the same plan runnable.
         let bound = Bindings { oracle_limit: Some(50), ..Default::default() };
-        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::for_tests())
-            .unwrap();
+        let opts = EngineOptions::default();
+        let r =
+            run_plan(&cat, &plan, &opts, &bound, &mut rng, &ExecCtx::for_tests(), None).unwrap();
         assert!(r.oracle_calls <= 50);
     }
 
@@ -1067,12 +1001,14 @@ mod tests {
             &Bindings::default(),
             &mut rng,
             &ExecCtx::for_tests(),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, QueryError::UnboundParameter("UNTIL CI WIDTH < ?")), "{err}");
         let bound = Bindings { until_width: Some(1000.0), ..Default::default() };
-        let r = run_plan(&cat, &plan, &EngineOptions::default(), &bound, &mut rng, &ExecCtx::for_tests())
-            .unwrap();
+        let opts = EngineOptions::default();
+        let r =
+            run_plan(&cat, &plan, &opts, &bound, &mut rng, &ExecCtx::for_tests(), None).unwrap();
         assert!(r.oracle_calls <= 50);
     }
 }

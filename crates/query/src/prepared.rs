@@ -15,7 +15,7 @@
 
 use crate::ast::Query;
 use crate::engine::Engine;
-use crate::plan::{explain_plan, run_plan, run_plan_progressive, Bindings, QueryPlan};
+use crate::plan::{explain_plan, run_plan, Bindings, QueryPlan};
 use crate::result::{QueryError, QueryResult, QuerySnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,6 +91,7 @@ impl Prepared {
             &self.bindings(),
             &mut rng,
             &self.engine.ctx(self.session),
+            None,
         )
     }
 
@@ -106,14 +107,14 @@ impl Prepared {
     pub fn run_progressive(&self) -> Result<ProgressiveRun, QueryError> {
         let mut rng = StdRng::seed_from_u64(self.base_seed);
         let mut snapshots = Vec::new();
-        let result = run_plan_progressive(
+        let result = run_plan(
             self.engine.catalog(),
             &self.plan,
             self.engine.options(),
             &self.bindings(),
             &mut rng,
             &self.engine.ctx(self.session),
-            &mut |snap| snapshots.push(snap.clone()),
+            Some(&mut |snap| snapshots.push(snap.clone())),
         )?;
         Ok(ProgressiveRun { snapshots, result })
     }

@@ -12,7 +12,7 @@ use crate::ast::Statement;
 use crate::ddl::{run_create_proxy, run_show_proxies};
 use crate::engine::Engine;
 use crate::parser::{parse_query, parse_statement};
-use crate::plan::{explain_plan, plan_query, run_plan, run_plan_progressive, Bindings};
+use crate::plan::{explain_plan, plan_query, run_plan, Bindings};
 use crate::prepared::Prepared;
 use crate::result::{QueryError, QueryResult, QuerySnapshot, StatementOutcome};
 use rand::rngs::StdRng;
@@ -70,6 +70,7 @@ impl Session {
             &Bindings::default(),
             &mut self.rng,
             &self.engine.ctx(self.id),
+            None,
         )
     }
 
@@ -88,14 +89,14 @@ impl Session {
     ) -> Result<QueryResult, QueryError> {
         let query = parse_query(sql)?;
         let plan = plan_query(self.engine.catalog(), &query)?;
-        run_plan_progressive(
+        run_plan(
             self.engine.catalog(),
             &plan,
             self.engine.options(),
             &Bindings::default(),
             &mut self.rng,
             &self.engine.ctx(self.id),
-            &mut on_snapshot,
+            Some(&mut on_snapshot),
         )
     }
 

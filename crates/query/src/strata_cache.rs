@@ -358,8 +358,8 @@ mod tests {
         let plan = plan_query(catalog, &parse_query(sql).unwrap()).unwrap();
         let opts = EngineOptions { bootstrap_trials: 40, ..EngineOptions::default() };
         let mut rng = StdRng::seed_from_u64(seed);
-        run_plan(catalog, &plan, &opts, &Bindings::default(), &mut rng, &ExecCtx::for_tests())
-            .unwrap()
+        let bindings = Bindings::default();
+        run_plan(catalog, &plan, &opts, &bindings, &mut rng, &ExecCtx::for_tests(), None).unwrap()
     }
 
     fn select(predicate: &str) -> String {

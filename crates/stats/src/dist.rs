@@ -55,11 +55,6 @@ impl Normal {
         }
         Ok(Self { mean, std_dev })
     }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self { mean: 0.0, std_dev: 1.0 }
-    }
 }
 
 /// Draws one standard-normal variate via the Marsaglia polar method.
@@ -199,11 +194,6 @@ impl Bernoulli {
         }
         Ok(Self { p })
     }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
 }
 
 impl Distribution<bool> for Bernoulli {
@@ -305,17 +295,6 @@ impl Categorical {
             alias[i] = i;
         }
         Ok(Self { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True when there are no categories (never constructed; kept for API
-    /// completeness).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 }
 

@@ -13,18 +13,19 @@
 //! while delivering the requested precision.
 
 use abae::core::groupby::{
-    groupby_single_oracle_progressive, groupby_single_oracle_with_ci, GroupByConfig,
+    groupby_single_oracle_progressive, groupby_single_oracle_stratified, GroupByConfig,
 };
 use abae::core::pipeline::ExecOptions;
 use abae::core::{
-    merge_states, run_abae_multi_progressive, run_abae_multi_with_ci, run_abae_with_ci,
-    AbaeConfig, Aggregate, BootstrapConfig, MultiAggResult, ProgressiveOptions, Snapshot,
+    merge_states, run_abae_multi_progressive, run_abae_stratified, run_abae_with_ci, AbaeConfig,
+    Aggregate, BootstrapConfig, MultiAggResult, ProgressiveOptions, Snapshot, Stratification,
     StratumStats,
 };
 use abae::data::{FnOracle, Labeled, SingleGroupOracle, Table};
 use abae::query::{Engine, EngineOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The (threads, chunk) matrix every bit-identity scenario runs under.
 const THREADS: [usize; 2] = [1, 8];
@@ -93,8 +94,9 @@ fn progressive_final_answer_is_bit_identical_to_blocking() {
 
         let oracle = oracle_for(&labels, &values);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA11);
+        let strat = Stratification::by_proxy_quantile(&scores, cfg_for(1, 64).strata);
         let blocking =
-            run_abae_multi_with_ci(&scores, &oracle, &cfg_for(1, 64), &aggs, &mut rng)
+            run_abae_stratified(&strat, &oracle, &cfg_for(1, 64), &aggs, None, &mut rng, |_| {})
                 .expect("valid config");
 
         for threads in THREADS {
@@ -196,9 +198,21 @@ fn groupby_progressive_is_bit_identical_to_blocking() {
 
     let oracle = SingleGroupOracle::new(&t).expect("grouped table");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x60D);
-    let blocking =
-        groupby_single_oracle_with_ci(&proxies, &oracle, &cfg_for(1), &bootstrap, &mut rng)
-            .expect("valid config");
+    let strata: Vec<Arc<Stratification>> = proxies
+        .iter()
+        .map(|p| Arc::new(Stratification::by_proxy_quantile(p, cfg_for(1).strata)))
+        .collect();
+    let blocking = groupby_single_oracle_stratified(
+        &strata,
+        &oracle,
+        &cfg_for(1),
+        &bootstrap,
+        None,
+        &mut rng,
+        |_| {},
+    )
+    .expect("valid config")
+    .groups;
 
     for threads in THREADS {
         for chunk in CHUNKS {

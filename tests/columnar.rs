@@ -25,8 +25,8 @@ use abae::core::groupby::{groupby_single_oracle, GroupByConfig};
 use abae::core::multipred::{run_multipred, PredExpr};
 use abae::core::pipeline::ExecOptions;
 use abae::core::{
-    run_abae_multi_progressive, run_abae_multi_with_ci, AbaeConfig, Aggregate, BootstrapConfig,
-    ProgressiveOptions, Snapshot,
+    run_abae_multi_progressive, run_abae_stratified, AbaeConfig, Aggregate, BootstrapConfig,
+    ProgressiveOptions, Snapshot, Stratification,
 };
 use abae::data::{Oracle, PredicateOracle, SingleGroupOracle, Table};
 use rand::rngs::StdRng;
@@ -143,7 +143,9 @@ fn two_stage_is_storage_and_schedule_invariant() {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(0xABAE);
-        run_abae_multi_with_ci(scores, &oracle, &cfg, &aggs, &mut rng).expect("valid config")
+        let strat = Stratification::by_proxy_quantile(scores, cfg.strata);
+        run_abae_stratified(&strat, &oracle, &cfg, &aggs, None, &mut rng, |_| {})
+            .expect("valid config")
     };
     let reference = run(&t, 1, 64);
     for (name, v) in variants(&t) {

@@ -14,7 +14,7 @@
 
 use abae::core::multipred::{expression_oracle, PredExpr};
 use abae::core::pipeline::ExecOptions;
-use abae::core::two_stage::run_abae_multi_with_ci_stratified;
+use abae::core::two_stage::run_abae_stratified;
 use abae::core::{
     AbaeConfig, Aggregate, BatcherOptions, BootstrapConfig, GovernedOracle, OracleBatcher,
     Stratification,
@@ -275,7 +275,7 @@ fn packed_misses_match_the_per_chunk_path_bit_for_bit() {
                 "is_spam",
             );
             let mut rng = StdRng::seed_from_u64(11);
-            run_abae_multi_with_ci_stratified(&strata, &warm, &config, &aggs, &mut rng).unwrap();
+            run_abae_stratified(&strata, &warm, &config, &aggs, None, &mut rng, |_| {}).unwrap();
 
             let batcher = OracleBatcher::new(BatcherOptions::default());
             let governed = GovernedOracle::new(
@@ -290,15 +290,17 @@ fn packed_misses_match_the_per_chunk_path_bit_for_bit() {
             };
             let mut rng = StdRng::seed_from_u64(12);
             let result = if hide {
-                run_abae_multi_with_ci_stratified(
+                run_abae_stratified(
                     &strata,
                     &PerChunk(&cached),
                     &config,
                     &aggs,
+                    None,
                     &mut rng,
+                    |_| {},
                 )
             } else {
-                run_abae_multi_with_ci_stratified(&strata, &cached, &config, &aggs, &mut rng)
+                run_abae_stratified(&strata, &cached, &config, &aggs, None, &mut rng, |_| {})
             }
             .unwrap();
             let counts = (cached.inner.hits(), cached.inner.misses(), store.hits(), store.misses());
