@@ -1,12 +1,13 @@
 //! Machine-readable benchmark artifacts.
 //!
-//! Every serving-oriented bench (`anytime`, `qps`, `throughput`,
-//! `cache_hits`) writes its measurements to a `BENCH_<name>.json` file at
-//! the repository root in addition to its human-readable stdout report, so
-//! CI and plotting scripts can diff runs without scraping tables. The
-//! artifact is one JSON object per bench (points as an array), rebuilt in
-//! full on every run. A run at other than the bin's default scale writes
-//! under `target/` instead, so a smoke never replaces a tracked artifact.
+//! The serving and storage benches (`anytime`, `cache_hits`, `coverage`,
+//! `governor`, `scan`) write their measurements to a `BENCH_<name>.json`
+//! file at the repository root in addition to their human-readable stdout
+//! report, so CI and plotting scripts can diff runs without scraping
+//! tables. The artifact is one JSON object per bench (points as an array),
+//! rebuilt in full on every run, and records the `nproc` it ran on. A run
+//! at other than the bin's default scale writes under `target/` instead,
+//! so a smoke never replaces a tracked artifact.
 
 use std::path::{Path, PathBuf};
 
@@ -67,6 +68,25 @@ mod tests {
     fn an_off_default_run_lands_under_target() {
         let p = artifact_path("scan", false);
         assert_eq!(p, artifact_path("scan", true).parent().unwrap().join("target/BENCH_scan.json"));
+    }
+
+    #[test]
+    fn every_tracked_artifact_has_its_bin_and_records_nproc() {
+        let root = artifact_path("x", true).parent().unwrap().to_path_buf();
+        let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut tracked = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let file = entry.unwrap().file_name().into_string().unwrap();
+            let Some(name) = file.strip_prefix("BENCH_").and_then(|f| f.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            tracked += 1;
+            assert!(bins.join(format!("{name}.rs")).exists(), "{file} has no bin {name}.rs");
+            let json = std::fs::read_to_string(root.join(&file)).unwrap();
+            assert!(json.contains("\"nproc\":"), "{file} does not record nproc");
+        }
+        assert!(tracked > 0, "no BENCH_*.json at {}", root.display());
     }
 
     #[test]

@@ -175,12 +175,13 @@ fn main() {
         points.push(point);
     }
 
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     emit_artifact(
         "governor",
         &format!(
             "{{\"bench\":\"governor\",\"records\":{records},\"budget\":{budget},\
              \"queries_per_session\":{queries},\"overhead_us\":{overhead_us},\
-             \"pipeline_batch\":{batch},\"seed\":{},\
+             \"pipeline_batch\":{batch},\"seed\":{},\"nproc\":{nproc},\
              \"speedup_at_8_sessions\":{speedup_at_8:.3},\
              \"points\":[{}]}}",
             cfg.seed,

@@ -180,8 +180,10 @@ fn main() {
             )
         })
         .collect();
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
-        "{{\"bench\":\"scan\",\"records\":{n},\"reps\":{reps},\"geomean_speedup\":{},\"workloads\":[{}]}}",
+        "{{\"bench\":\"scan\",\"records\":{n},\"reps\":{reps},\"nproc\":{nproc},\
+         \"geomean_speedup\":{},\"workloads\":[{}]}}",
         json_f64(geomean),
         points.join(",")
     );

@@ -1,4 +1,5 @@
-//! Cached construction of the emulated datasets used by the experiments.
+//! Construction of the emulated datasets used by the experiments: each
+//! call runs the seeded emulator at the experiment scale.
 
 use abae_data::emulators::EmulatorOptions;
 use abae_data::registry::{build_dataset, DatasetInfo, PAPER_DATASETS};

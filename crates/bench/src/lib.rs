@@ -9,9 +9,10 @@
 //! * [`runner`] — deterministic, multi-threaded trial execution (one
 //!   seeded RNG per trial).
 //! * [`report`] — aligned text tables matching the series the paper plots.
-//! * [`datasets`] — cached construction of the six emulated datasets.
+//! * [`datasets`] — builds the six emulated datasets at the experiment
+//!   scale.
 //! * [`artifact`] — `BENCH_<name>.json` artifacts at the repository root
-//!   for the serving-oriented benches.
+//!   for the serving and storage benches.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

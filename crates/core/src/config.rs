@@ -171,13 +171,6 @@ impl AbaeConfig {
         }
         self.bootstrap.validate()
     }
-
-    /// The paper's recommendation: `K` maximal such that every stratum gets
-    /// at least 100 Stage-1 samples (capped at `max_k`).
-    pub fn recommended_strata(budget: usize, stage1_fraction: f64, max_k: usize) -> usize {
-        let stage1_total = (stage1_fraction * budget as f64).floor() as usize;
-        (stage1_total / 100).clamp(1, max_k.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -217,17 +210,6 @@ mod tests {
             AbaeConfig { bootstrap: BootstrapConfig { trials: 10, alpha: 0.0 }, ..ok }.validate(),
             Err(ConfigError::BadAlpha(0.0))
         );
-    }
-
-    #[test]
-    fn recommended_strata_follows_100_sample_rule() {
-        // 10k budget, C = 0.5 → 5000 pilot samples → 50 strata max, capped.
-        assert_eq!(AbaeConfig::recommended_strata(10_000, 0.5, 10), 10);
-        assert_eq!(AbaeConfig::recommended_strata(10_000, 0.5, 100), 50);
-        // 1000 budget, C = 0.3 → 300 pilot → 3 strata.
-        assert_eq!(AbaeConfig::recommended_strata(1000, 0.3, 10), 3);
-        // Tiny budgets still give one stratum.
-        assert_eq!(AbaeConfig::recommended_strata(50, 0.5, 10), 1);
     }
 
     #[test]

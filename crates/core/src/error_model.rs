@@ -58,25 +58,6 @@ pub fn allocation_mse(p: &[f64], sigma: &[f64], t: &[f64], n: usize) -> f64 {
     total
 }
 
-/// MSE of *uniform* sampling with deterministic draws (§4.2 discussion):
-/// `σ̄² / (n · p_avg)` where `p_avg = Σ p_k / K`. Used to compute the
-/// theoretical gain of a proxy (§3.4 "relative gain").
-pub fn uniform_mse(p: &[f64], sigma: &[f64], n: usize) -> f64 {
-    allocation_mse(p, sigma, &vec![1.0 / p.len().max(1) as f64; p.len()], n)
-}
-
-/// The §3.4 relative-gain estimate of a proxy: predicted uniform MSE over
-/// predicted optimal stratified MSE. Values > 1 mean the proxy helps.
-pub fn proxy_gain(p: &[f64], sigma: &[f64]) -> f64 {
-    let n = 1_000; // cancels in the ratio; any positive budget works
-    let u = uniform_mse(p, sigma, n);
-    let o = optimal_mse(p, sigma, n);
-    if o == 0.0 {
-        return f64::INFINITY;
-    }
-    u / o
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,8 +115,10 @@ mod tests {
         let n = 1000;
         let strat = optimal_mse(&p, &sigma, n);
         assert!((strat - 1.0 / n as f64).abs() < 1e-12);
-        let gain = proxy_gain(&p, &sigma);
-        assert!((gain - k as f64).abs() < 1e-9, "gain {gain}");
+        // Uniform sampling is the allocation with equal weights 1/K.
+        let uniform = allocation_mse(&p, &sigma, &vec![1.0 / k as f64; k], n);
+        let want = k as f64 / n as f64;
+        assert!((uniform - want).abs() < 1e-9 * want, "uniform {uniform}");
     }
 
     #[test]
@@ -150,19 +133,5 @@ mod tests {
         // If the statistic is constant within every stratum, one positive
         // sample per stratum nails it.
         assert_eq!(optimal_mse(&[0.5, 0.5], &[0.0, 0.0], 100), 0.0);
-    }
-
-    #[test]
-    fn uniform_gain_is_one_for_homogeneous_strata() {
-        // Equal p and σ in all strata: the proxy carries no information and
-        // the predicted gain is exactly 1.
-        let gain = proxy_gain(&[0.3, 0.3, 0.3], &[1.0, 1.0, 1.0]);
-        assert!((gain - 1.0).abs() < 1e-9, "gain {gain}");
-    }
-
-    #[test]
-    fn informative_proxy_has_gain_above_one() {
-        let gain = proxy_gain(&[0.02, 0.2, 0.9], &[1.0, 1.0, 1.0]);
-        assert!(gain > 1.2, "gain {gain}");
     }
 }

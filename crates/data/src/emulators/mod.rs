@@ -49,11 +49,6 @@ impl Default for EmulatorOptions {
 }
 
 impl EmulatorOptions {
-    /// A scaled-down configuration for tests.
-    pub fn test_scale() -> Self {
-        Self { scale: 0.02, seed: 0xABAE }
-    }
-
     pub(crate) fn scaled(&self, full: usize) -> usize {
         let floor = 30_000.min(full);
         ((full as f64 * self.scale) as usize).clamp(floor, full)

@@ -12,7 +12,6 @@ use crate::emulators::{
 };
 use crate::table::Table;
 use abae_ml::metrics::auc;
-use std::path::{Path, PathBuf};
 
 /// Static metadata for one paper dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,44 +96,6 @@ pub fn build_dataset(name: &str, opts: &EmulatorOptions) -> Option<Table> {
     }
 }
 
-/// Cache-file path for one `(name, opts)` emulator configuration.
-///
-/// The key folds in the scale's exact bit pattern, the seed, and the
-/// binary format version, so any change to the configuration — or to the
-/// on-disk layout — misses the cache instead of loading stale bytes.
-pub fn cache_path(dir: &Path, name: &str, opts: &EmulatorOptions) -> PathBuf {
-    dir.join(format!(
-        "{name}-s{:016x}-r{}.v{}.abcol",
-        opts.scale.to_bits(),
-        opts.seed,
-        crate::columnar::VERSION
-    ))
-}
-
-/// Builds an emulated dataset, caching the columnar binary under `dir`.
-///
-/// On a cache hit the table is decoded straight from the `.abcol` file —
-/// no emulator RNG runs. On a miss (absent, unreadable, corrupt, or
-/// written by a different format version) the emulator runs and the
-/// result is written back; a write failure degrades to building without a
-/// cache rather than erroring. Returns `None` for unknown dataset names.
-///
-/// Cached loads are exact: `Table::save_binary`/`load_binary` roundtrip
-/// every column bit-for-bit, so downstream estimates are identical either
-/// way.
-pub fn load_or_build(name: &str, opts: &EmulatorOptions, dir: &Path) -> Option<Table> {
-    let path = cache_path(dir, name, opts);
-    if let Ok(table) = Table::load_binary(name, &path) {
-        return Some(table);
-    }
-    let table = build_dataset(name, opts)?;
-    let _ = std::fs::create_dir_all(dir);
-    if let Err(e) = table.save_binary(&path) {
-        eprintln!("# dataset cache write failed ({}): {e}", path.display());
-    }
-    Some(table)
-}
-
 /// Measured characteristics of an emulated dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSummary {
@@ -183,30 +144,6 @@ mod tests {
             assert!(t.predicate(info.predicate_column).is_ok());
         }
         assert!(build_dataset("unknown", &opts).is_none());
-    }
-
-    #[test]
-    fn load_or_build_caches_and_roundtrips_exactly() {
-        let opts = EmulatorOptions { scale: 0.001, seed: 41 };
-        let dir = std::env::temp_dir().join(format!("abae-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let built = load_or_build("celeba", &opts, &dir).expect("known dataset");
-        assert!(cache_path(&dir, "celeba", &opts).exists(), "first call populates the cache");
-        let cached = load_or_build("celeba", &opts, &dir).expect("known dataset");
-        assert_eq!(built, cached, "cached load must be bit-identical to the build");
-
-        // A different seed keys a different file.
-        let other = EmulatorOptions { scale: 0.001, seed: 42 };
-        assert_ne!(cache_path(&dir, "celeba", &opts), cache_path(&dir, "celeba", &other));
-
-        // Corrupt cache entries are rebuilt, not trusted.
-        std::fs::write(cache_path(&dir, "celeba", &opts), b"garbage").unwrap();
-        let rebuilt = load_or_build("celeba", &opts, &dir).expect("known dataset");
-        assert_eq!(built, rebuilt);
-
-        assert!(load_or_build("unknown", &opts, &dir).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

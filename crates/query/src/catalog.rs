@@ -92,11 +92,6 @@ impl Catalog {
         keys
     }
 
-    /// Names of all registered tables (unordered).
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Enables the cross-query oracle label cache: scalar queries executed
     /// against this catalog memoize every oracle verdict by `(table,
     /// predicate expression, record index)`, so repeated or overlapping
@@ -219,7 +214,6 @@ mod tests {
         let other = Table::builder("t", vec![9.0]).build().unwrap();
         cat.register_table(other);
         assert_eq!(cat.table("t").unwrap().len(), 1);
-        assert_eq!(cat.table_names(), vec!["t"]);
     }
 
     #[test]

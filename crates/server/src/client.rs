@@ -1,6 +1,6 @@
 //! A minimal in-repo Postgres-wire **client** for driving `abae-server`:
-//! the integration suite proves the wire format with it, the qps bench's
-//! wire mode measures serving overhead through it, and
+//! the integration suite proves the wire format with it, the repo
+//! benchmark's `adhoc_wire` workload measures serving through it, and
 //! `abae-server --self-check` uses it as a built-in smoke test.
 //!
 //! It speaks exactly the slice of the simple query protocol the server

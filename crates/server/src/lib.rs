@@ -30,8 +30,8 @@
 //! Modules: [`codec`] is the pure bytes-level message framing (hostile
 //! -input-safe decode under the workspace no-panic contract), [`server`]
 //! is the TCP listener and connection lifecycle, and [`client`] is the
-//! minimal in-repo wire client the integration tests, the qps bench's
-//! wire mode, and `abae-server --self-check` drive the server with.
+//! minimal in-repo wire client the integration tests, the `adhoc_wire`
+//! benchmark workload, and `abae-server --self-check` drive the server with.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -183,9 +183,10 @@ fn group_table(n: usize, seed: u64) -> Table {
 /// under every (threads, chunk) combination.
 #[test]
 fn groupby_progressive_is_bit_identical_to_blocking() {
-    // Kept deliberately small: the chunk=1 leg bootstraps every group at
-    // every one of `budget` snapshot boundaries, so cost scales with
-    // budget × trials × samples.
+    // Kept deliberately small: the chunk=1 leg takes a snapshot at every
+    // one of `budget` chunk boundaries, and each snapshot rebuilds every
+    // bucket's cells (`bucket_cells`) over all draws so far, so cost
+    // scales with budget × draws.
     let seed = 42u64;
     let t = group_table(3000, seed);
     let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
