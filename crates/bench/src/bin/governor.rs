@@ -10,8 +10,8 @@
 //! sessions' requests for the same `(table, predicate)` into shared
 //! invocations.
 //!
-//! Both modes charge the identical per-invocation overhead (default
-//! 100µs), serialized the way one accelerator serializes dispatches; the
+//! Both modes charge the identical per-invocation overhead (100µs),
+//! serialized the way one accelerator serializes dispatches; the
 //! only difference is coalescing. The sweep runs 1/2/4/8 concurrent
 //! sessions twice — governor off, then on — and reports aggregate
 //! labeled-records/sec. Two claims are checked every run:
@@ -39,6 +39,12 @@ use std::time::{Duration, Instant};
 
 const SESSION_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// Simulated serialized device overhead per oracle invocation, in µs.
+const OVERHEAD_US: u64 = 100;
+
+/// Pipeline batch size.
+const PIPELINE_BATCH: usize = 20;
+
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
@@ -57,14 +63,14 @@ fn table(n: usize) -> Table {
 /// artifact are that point's alone. A small pipeline batch size keeps the
 /// invocation count high — the regime where per-invocation overhead is
 /// the bottleneck and coalescing has something to amortize.
-fn build_engine(n: usize, seed: u64, coalesce: bool, overhead: Duration, batch: usize) -> Engine {
+fn build_engine(n: usize, seed: u64, coalesce: bool) -> Engine {
     Engine::builder()
         .table(table(n))
         .seed(seed)
         .bootstrap_trials(20)
-        .exec(ExecOptions::default().with_batch_size(batch))
+        .exec(ExecOptions::default().with_batch_size(PIPELINE_BATCH))
         .governor(coalesce)
-        .oracle_overhead(overhead)
+        .oracle_overhead(Duration::from_micros(OVERHEAD_US))
         .build()
 }
 
@@ -109,27 +115,24 @@ fn main() {
     let records = (20_000.0 * cfg.scale.max(0.05)) as usize;
     let queries = env_u64("ABAE_GOVERNOR_QUERIES", 6) as usize;
     let budget = env_u64("ABAE_GOVERNOR_BUDGET", 1500);
-    let overhead_us = env_u64("ABAE_GOVERNOR_OVERHEAD_US", 100);
-    let batch = env_u64("ABAE_GOVERNOR_BATCH", 20) as usize;
-    let default_scale = cfg.scale == ExpConfig::default().scale
-        && (queries, budget, overhead_us, batch) == (6, 1500, 100, 20);
+    let default_scale =
+        cfg.scale == ExpConfig::default().scale && (queries, budget) == (6, 1500);
     let relax = std::env::var("ABAE_GOVERNOR_RELAX").is_ok_and(|v| v == "1");
-    let overhead = Duration::from_micros(overhead_us);
     let sql =
         format!("SELECT AVG(links) FROM emails WHERE is_spam ORACLE LIMIT {budget}");
     eprintln!(
         "# {records} records, {queries} queries/session at budget {budget}, \
-         {overhead_us}µs serialized overhead per invocation, pipeline batch {batch}"
+         {OVERHEAD_US}µs serialized overhead per invocation, pipeline batch {PIPELINE_BATCH}"
     );
 
     let mut points = Vec::new();
     let mut speedup_at_8 = 0.0_f64;
     for &sessions in &SESSION_COUNTS {
-        let off = build_engine(records, cfg.seed, false, overhead, batch);
+        let off = build_engine(records, cfg.seed, false);
         let (off_elapsed, off_results) = run_mode(&off, sessions, queries, &sql);
         let off_stats = off.stats();
 
-        let on = build_engine(records, cfg.seed, true, overhead, batch);
+        let on = build_engine(records, cfg.seed, true);
         let (on_elapsed, on_results) = run_mode(&on, sessions, queries, &sql);
         let on_stats = on.stats();
 
@@ -180,8 +183,8 @@ fn main() {
         "governor",
         &format!(
             "{{\"bench\":\"governor\",\"records\":{records},\"budget\":{budget},\
-             \"queries_per_session\":{queries},\"overhead_us\":{overhead_us},\
-             \"pipeline_batch\":{batch},\"seed\":{},\"nproc\":{nproc},\
+             \"queries_per_session\":{queries},\"overhead_us\":{OVERHEAD_US},\
+             \"pipeline_batch\":{PIPELINE_BATCH},\"seed\":{},\"nproc\":{nproc},\
              \"speedup_at_8_sessions\":{speedup_at_8:.3},\
              \"points\":[{}]}}",
             cfg.seed,

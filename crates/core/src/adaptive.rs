@@ -18,7 +18,7 @@
 //! are shared with Algorithm 1.
 
 use crate::config::{Aggregate, ConfigError};
-use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::estimator::{combine_estimate, StratumEstimate, Tally};
 use crate::strata::Stratification;
 use abae_data::{Labeled, Oracle};
 use abae_sampling::budget::largest_remainder_allocation;
@@ -74,19 +74,14 @@ impl AdaptiveConfig {
 /// Per-stratum running state.
 struct StratumState {
     pool: IndexPool,
-    draws: usize,
-    positives: usize,
-    moments: StreamingMoments,
+    tally: Tally,
     samples: Vec<Labeled>,
 }
 
 impl StratumState {
-    fn p_hat(&self) -> f64 {
-        if self.draws == 0 {
-            0.0
-        } else {
-            self.positives as f64 / self.draws as f64
-        }
+    /// The stratum's estimates from its draws so far.
+    fn estimate(&self) -> StratumEstimate {
+        self.tally.estimate(self.pool.len())
     }
 
     /// Allocation weight with optimistic initialization for unexplored
@@ -95,16 +90,13 @@ impl StratumState {
         if self.pool.remaining() == 0 {
             return 0.0;
         }
-        let sigma = if self.positives >= 2 {
-            self.moments.sample_std_dev_or_zero()
-        } else {
-            fallback_sigma
-        };
-        let p = if self.positives == 0 {
+        let e = self.estimate();
+        let sigma = if e.positives >= 2 { e.sigma_hat } else { fallback_sigma };
+        let p = if e.positives == 0 {
             // Optimism: assume the next draw could be positive.
-            1.0 / (self.draws + 1) as f64
+            1.0 / (e.draws + 1) as f64
         } else {
-            self.p_hat()
+            e.p_hat
         };
         p.sqrt() * sigma
     }
@@ -128,9 +120,7 @@ pub fn run_adaptive<O: Oracle, R: Rng + ?Sized>(
         .iter()
         .map(|members| StratumState {
             pool: IndexPool::new(members.len()),
-            draws: 0,
-            positives: 0,
-            moments: StreamingMoments::new(),
+            tally: Tally::default(),
             samples: Vec::new(),
         })
         .collect();
@@ -144,11 +134,7 @@ pub fn run_adaptive<O: Oracle, R: Rng + ?Sized>(
         let drawn: Vec<usize> =
             state.pool.draw(k, rng).iter().map(|&local| members[local]).collect();
         for labeled in crate::pipeline::label_all(oracle, &drawn, &config.exec) {
-            state.draws += 1;
-            if labeled.matches {
-                state.positives += 1;
-                state.moments.push(labeled.value);
-            }
+            state.tally.push(labeled);
             state.samples.push(labeled);
             *spent += 1;
         }
@@ -165,7 +151,7 @@ pub fn run_adaptive<O: Oracle, R: Rng + ?Sized>(
         // Global sigma fallback keeps unexplored strata competitive.
         let mut global = StreamingMoments::new();
         for st in &states {
-            global.merge(&st.moments);
+            global.merge(st.tally.moments());
         }
         let fallback_sigma = global.sample_std_dev_or_zero().max(1e-6);
         let weights: Vec<f64> = states.iter().map(|st| st.weight(fallback_sigma)).collect();
@@ -193,11 +179,7 @@ pub fn run_adaptive<O: Oracle, R: Rng + ?Sized>(
         }
     }
 
-    let estimates: Vec<StratumEstimate> = states
-        .iter()
-        .enumerate()
-        .map(|(s, st)| StratumEstimate::from_draws(strat.stratum(s).len(), &st.samples))
-        .collect();
+    let estimates: Vec<StratumEstimate> = states.iter().map(StratumState::estimate).collect();
     let pilot = estimates.clone();
     let t_hat: Vec<f64> = {
         let p: Vec<f64> = estimates.iter().map(|e| e.p_hat).collect();

@@ -13,6 +13,13 @@
 //! estimated positive *count* `|S_k|·p̂_k`, which reduces to the paper's
 //! formula for equal sizes. `SUM` and `COUNT` scale by the stratum sizes
 //! directly.
+//!
+//! Every per-stratum accumulator in the crate is one running fold: a
+//! stratum's draw count plus the positives' [`StreamingMoments`], pushed in
+//! draw order, from which `StratumEstimate::from_moments` derives the
+//! estimates. The samplers fix their draw order before labeling starts, so
+//! the fold after any prefix of the draws is the same for every chunking of
+//! the labeling.
 
 use crate::config::Aggregate;
 use abae_data::Labeled;
@@ -37,24 +44,57 @@ pub struct StratumEstimate {
 }
 
 impl StratumEstimate {
-    /// Computes the estimates from a stratum's labeled draws.
+    /// Computes the estimates from a stratum's labeled draws, folded in
+    /// order.
     pub fn from_draws(size: usize, draws: &[Labeled]) -> Self {
-        let mut moments = StreamingMoments::new();
-        let mut positives = 0usize;
-        for d in draws {
-            if d.matches {
-                positives += 1;
-                moments.push(d.value);
-            }
+        let mut tally = Tally::default();
+        for &d in draws {
+            tally.push(d);
         }
+        tally.estimate(size)
+    }
+
+    /// The estimates of a stratum of `size` records from `draws` draws whose
+    /// positive values `moments` folded: the one place `p̂`, `μ̂` and `σ̂`
+    /// are derived.
+    pub(crate) fn from_moments(size: usize, draws: usize, moments: &StreamingMoments) -> Self {
+        let positives = moments.count() as usize;
         StratumEstimate {
             size,
-            draws: draws.len(),
+            draws,
             positives,
-            p_hat: if draws.is_empty() { 0.0 } else { positives as f64 / draws.len() as f64 },
+            p_hat: if draws == 0 { 0.0 } else { positives as f64 / draws as f64 },
             mu_hat: moments.mean_or_zero(),
             sigma_hat: moments.sample_std_dev_or_zero(),
         }
+    }
+}
+
+/// One stratum's running fold of labeled draws, in draw order: the draw
+/// count and the positives' moments.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    draws: usize,
+    moments: StreamingMoments,
+}
+
+impl Tally {
+    /// Folds in the next draw.
+    pub(crate) fn push(&mut self, label: Labeled) {
+        self.draws += 1;
+        if label.matches {
+            self.moments.push(label.value);
+        }
+    }
+
+    /// The positives' moments folded so far.
+    pub(crate) fn moments(&self) -> &StreamingMoments {
+        &self.moments
+    }
+
+    /// The estimates of a stratum of `size` records from the draws so far.
+    pub(crate) fn estimate(&self, size: usize) -> StratumEstimate {
+        StratumEstimate::from_moments(size, self.draws, &self.moments)
     }
 }
 
@@ -125,6 +165,55 @@ mod tests {
         let e = StratumEstimate::from_draws(10, &[labeled(true, 7.0), labeled(false, 0.0)]);
         assert_eq!(e.mu_hat, 7.0);
         assert_eq!(e.sigma_hat, 0.0);
+    }
+
+    /// The estimates written out: count the positives, fold their values,
+    /// divide.
+    fn reference(size: usize, draws: &[Labeled]) -> StratumEstimate {
+        let mut moments = StreamingMoments::new();
+        let mut positives = 0usize;
+        for d in draws.iter().filter(|d| d.matches) {
+            positives += 1;
+            moments.push(d.value);
+        }
+        StratumEstimate {
+            size,
+            draws: draws.len(),
+            positives,
+            p_hat: if draws.is_empty() { 0.0 } else { positives as f64 / draws.len() as f64 },
+            mu_hat: moments.mean_or_zero(),
+            sigma_hat: moments.sample_std_dev_or_zero(),
+        }
+    }
+
+    #[test]
+    fn a_tally_after_every_push_equals_from_draws_of_the_prefix() {
+        let bits = |e: StratumEstimate| {
+            let moments = [e.p_hat, e.mu_hat, e.sigma_hat].map(f64::to_bits);
+            (e.size, e.draws, e.positives, moments)
+        };
+        let mixed = [
+            labeled(false, 3.0),
+            labeled(true, 0.1),
+            labeled(true, 0.7),
+            labeled(false, -2.0),
+            labeled(true, 1e9),
+            labeled(true, -0.3),
+        ];
+        let cases: [&[Labeled]; 4] =
+            [&[], &[labeled(true, 7.5)], &[labeled(false, 1.0); 5], &mixed];
+        for draws in cases {
+            let mut tally = Tally::default();
+            for i in 0..=draws.len() {
+                if i > 0 {
+                    tally.push(draws[i - 1]);
+                }
+                let prefix = &draws[..i];
+                let got = bits(tally.estimate(40));
+                assert_eq!(got, bits(StratumEstimate::from_draws(40, prefix)), "{prefix:?}");
+                assert_eq!(got, bits(reference(40, prefix)), "{prefix:?}");
+            }
+        }
     }
 
     #[test]

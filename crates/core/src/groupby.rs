@@ -163,55 +163,39 @@ pub struct GroupEstimateWithCi {
     pub ci: Option<abae_stats::bootstrap::ConfidenceInterval>,
 }
 
-/// Per-(stratification, stratum, group) sample statistics.
-#[derive(Debug, Clone, Copy)]
-struct CellStats {
-    draws: usize,
-    positives: usize,
-    p_hat: f64,
-    mu_hat: f64,
-    sigma_hat: f64,
-}
-
-impl CellStats {
-    /// A cell of `draws` draws whose positive values `moments` folded.
-    fn from_moments(draws: usize, moments: &StreamingMoments) -> Self {
-        let positives = moments.count() as usize;
-        CellStats {
-            draws,
-            positives,
-            p_hat: if draws == 0 { 0.0 } else { positives as f64 / draws as f64 },
-            mu_hat: moments.mean_or_zero(),
-            sigma_hat: moments.sample_std_dev_or_zero(),
-        }
-    }
-}
-
-/// The cells of every (stratification, stratum, group) triple, stored so
-/// that one (stratification, group) row of `K` cells is contiguous: cell
-/// `(l, kk, gg)` sits at `(l·G + gg)·K + kk`.
+/// Every (stratification, stratum, group) cell's estimates, stored so that
+/// one (stratification, group) row of `K` cells is contiguous: cell
+/// `(l, kk, gg)` sits at `(l·G + gg)·K + kk`. A cell's size is its stratum's,
+/// set once; filling a bucket rewrites the rest.
 #[derive(Clone)]
 struct CellGrid {
     groups: usize,
     strata: usize,
-    cells: Vec<CellStats>,
+    cells: Vec<StratumEstimate>,
     /// One accumulator per group, reused by every bucket.
     moments: Vec<StreamingMoments>,
 }
 
 impl CellGrid {
-    fn new(groups: usize, strata: usize) -> Self {
-        let empty = CellStats::from_moments(0, &StreamingMoments::new());
-        CellGrid {
-            groups,
-            strata,
-            cells: vec![empty; groups * groups * strata],
-            moments: vec![StreamingMoments::new(); groups],
-        }
+    /// Empty cells over the stratum sizes of every group's stratification,
+    /// in group order.
+    fn new(stratifications: &[Arc<Stratification>]) -> Self {
+        let groups = stratifications.len();
+        let strata = stratifications.first().map_or(0, |s| s.len());
+        let empty = StreamingMoments::new();
+        let cells = stratifications
+            .iter()
+            .flat_map(|s| {
+                let sizes = s.sizes();
+                (0..groups).flat_map(move |_| sizes.clone())
+            })
+            .map(|size| StratumEstimate::from_moments(size, 0, &empty))
+            .collect();
+        CellGrid { groups, strata, cells, moments: vec![empty; groups] }
     }
 
     /// The `K` cells of group `gg` under stratification `l`.
-    fn row(&self, l: usize, gg: usize) -> &[CellStats] {
+    fn row(&self, l: usize, gg: usize) -> &[StratumEstimate] {
         let start = (l * self.groups + gg) * self.strata;
         &self.cells[start..start + self.strata]
     }
@@ -229,8 +213,8 @@ impl CellGrid {
             }
         }
         for (gg, m) in self.moments.iter().enumerate() {
-            self.cells[(l * self.groups + gg) * self.strata + kk] =
-                CellStats::from_moments(draws, m);
+            let cell = &mut self.cells[(l * self.groups + gg) * self.strata + kk];
+            *cell = StratumEstimate::from_moments(cell.size, draws, m);
         }
     }
 }
@@ -239,9 +223,9 @@ impl CellGrid {
 fn bucket_cells(
     buckets: &[Vec<Vec<usize>>],
     cache: &BTreeMap<usize, GroupLabel>,
-    strata: usize,
+    stratifications: &[Arc<Stratification>],
 ) -> CellGrid {
-    let mut grid = CellGrid::new(buckets.len(), strata);
+    let mut grid = CellGrid::new(stratifications);
     for (l, stratification) in buckets.iter().enumerate() {
         for (kk, ids) in stratification.iter().enumerate() {
             grid.fill_bucket(l, kk, ids.iter().map(|id| cached_label(cache, id)));
@@ -257,15 +241,14 @@ fn cached_label(cache: &BTreeMap<usize, GroupLabel>, id: &usize) -> GroupLabel {
 
 /// Eq. 10/11 inner term: the per-unit-budget error of estimating group `g`
 /// from one stratification, `Σ_k ŵ²_k σ̂²_k / (p̂_k T̂_k)`.
-fn per_unit_error(cells: &[CellStats], sizes: &[usize], t_hat: &[f64]) -> f64 {
-    let weight_total: f64 =
-        cells.iter().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+fn per_unit_error(cells: &[StratumEstimate], t_hat: &[f64]) -> f64 {
+    let weight_total: f64 = cells.iter().map(|c| c.size as f64 * c.p_hat).sum();
     if weight_total <= 0.0 {
         return f64::INFINITY;
     }
     let mut err = 0.0;
-    for ((c, &s), &t) in cells.iter().zip(sizes).zip(t_hat) {
-        let w = s as f64 * c.p_hat / weight_total;
+    for (c, &t) in cells.iter().zip(t_hat) {
+        let w = c.size as f64 * c.p_hat / weight_total;
         if w == 0.0 || c.sigma_hat == 0.0 {
             continue;
         }
@@ -450,8 +433,6 @@ fn single_oracle_bootstrap_cis_on<R: Rng + ?Sized>(
 struct GroupReplicates {
     /// `labels[l][kk]`: bucket `(l, kk)`'s labels in draw order.
     labels: Vec<Vec<Vec<GroupLabel>>>,
-    /// `sizes[l]`: stratification `l`'s stratum sizes.
-    sizes: Vec<Vec<usize>>,
     /// The point estimate's cells; every block of replicates refills a copy.
     grid: CellGrid,
     /// Draws per replicate: the sum of the bucket sizes.
@@ -460,7 +441,6 @@ struct GroupReplicates {
 
 impl GroupReplicates {
     fn new(run: &SingleOracleRun) -> Self {
-        let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(|s| s.sizes()).collect();
         let labels: Vec<Vec<Vec<GroupLabel>>> = run
             .buckets
             .iter()
@@ -471,8 +451,7 @@ impl GroupReplicates {
                     .collect()
             })
             .collect();
-        let mut grid =
-            CellGrid::new(labels.len(), run.buckets.first().map(Vec::len).unwrap_or(0));
+        let mut grid = CellGrid::new(&run.stratifications);
         let mut draws = 0;
         for (l, buckets) in labels.iter().enumerate() {
             for (kk, bucket) in buckets.iter().enumerate() {
@@ -480,13 +459,13 @@ impl GroupReplicates {
                 draws += bucket.len();
             }
         }
-        GroupReplicates { labels, sizes, grid, draws }
+        GroupReplicates { labels, grid, draws }
     }
 
     /// Each group's point estimate with the percentile CI of its replicate
     /// estimates.
     fn with_cis(&self, replicates: Vec<Vec<f64>>, alpha: f64) -> Vec<GroupEstimateWithCi> {
-        estimates_from_cells(&self.grid, &self.sizes)
+        estimates_from_cells(&self.grid)
             .into_iter()
             .zip(replicates)
             .enumerate()
@@ -524,7 +503,6 @@ impl Replicates for GroupReplicates {
 
     fn run<G: Rng + ?Sized>(&self, reps: usize, rng: &mut G) -> Vec<Vec<f64>> {
         let mut grid = self.grid.clone();
-        let mut scratch = Vec::with_capacity(grid.strata);
         let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); self.labels.len()];
         for _ in 0..reps {
             for (l, buckets) in self.labels.iter().enumerate() {
@@ -534,7 +512,7 @@ impl Replicates for GroupReplicates {
                 }
             }
             for (gg, reps) in replicates.iter_mut().enumerate() {
-                reps.push(blend_group(&grid, &self.sizes, gg, &mut scratch, |_, _| {}).estimate);
+                reps.push(blend_group(&grid, gg, |_, _| {}).estimate);
             }
         }
         replicates
@@ -780,11 +758,10 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 
     if !stopped {
         // Pilot estimates and allocations.
-        let grid = bucket_cells(&run.buckets, &run.cache, k);
+        let grid = bucket_cells(&run.buckets, &run.cache, &run.stratifications);
         let mut t_hats: Vec<Vec<f64>> = Vec::with_capacity(g);
         let mut err_unit: Vec<Vec<f64>> = vec![vec![f64::INFINITY; g]; g];
         for (l, err_row) in err_unit.iter_mut().enumerate() {
-            let sizes = run.stratifications[l].sizes();
             // Allocation optimized for stratification l's own group.
             let own = grid.row(l, l);
             let t = optimal_allocation(
@@ -792,7 +769,7 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
                 &own.iter().map(|c| c.sigma_hat).collect::<Vec<_>>(),
             );
             for (gg, slot) in err_row.iter_mut().enumerate() {
-                *slot = per_unit_error(grid.row(l, gg), &sizes, &t);
+                *slot = per_unit_error(grid.row(l, gg), &t);
             }
             t_hats.push(t);
         }
@@ -890,18 +867,13 @@ fn single_oracle_estimates(
     cache: &BTreeMap<usize, GroupLabel>,
     stratifications: &[Arc<Stratification>],
 ) -> Vec<f64> {
-    let sizes: Vec<Vec<usize>> = stratifications.iter().map(|s| s.sizes()).collect();
-    let strata = buckets.first().map(Vec::len).unwrap_or(0);
-    estimates_from_cells(&bucket_cells(buckets, cache, strata), &sizes)
+    estimates_from_cells(&bucket_cells(buckets, cache, stratifications))
 }
 
 /// The cells → estimates step of the point estimate: every group's
-/// [`blend_group`]. `sizes[l]` are stratification `l`'s stratum sizes.
-fn estimates_from_cells(grid: &CellGrid, sizes: &[Vec<usize>]) -> Vec<f64> {
-    let mut scratch = Vec::with_capacity(grid.strata);
-    (0..grid.groups)
-        .map(|gg| blend_group(grid, sizes, gg, &mut scratch, |_, _| {}).estimate)
-        .collect()
+/// [`blend_group`].
+fn estimates_from_cells(grid: &CellGrid) -> Vec<f64> {
+    (0..grid.groups).map(|gg| blend_group(grid, gg, |_, _| {}).estimate).collect()
 }
 
 /// One group's estimate, blended across stratifications.
@@ -919,43 +891,30 @@ struct Blend {
 /// replicate and the closed-form CI. Each stratification `l` whose cells
 /// weigh only strata with positive draws gives an estimate `est_l` and a
 /// variance `Σ_k ŵ²σ̂²/B_k`, and is weighted by `w_l = 1/max(var_l, 1e-12)`;
-/// `on_term(w_l, strata_l)` sees each such weight with the
-/// stratification's per-stratum estimates. `scratch` holds those
-/// estimates and is reused, so a caller that passes one buffer to every
-/// call allocates nothing.
+/// `on_term(w_l, cells_l)` sees each such weight with the
+/// stratification's row of cells.
 fn blend_group(
     grid: &CellGrid,
-    sizes: &[Vec<usize>],
     gg: usize,
-    scratch: &mut Vec<StratumEstimate>,
     mut on_term: impl FnMut(f64, &[StratumEstimate]),
 ) -> Blend {
     let mut weighted = 0.0;
     let mut weight_total = 0.0;
     let mut fallback_sum = 0.0;
     let mut fallback_n = 0usize;
-    for (l, sizes) in sizes.iter().enumerate() {
+    for l in 0..grid.groups {
         let cells = grid.row(l, gg);
         // Point estimate from stratification l.
-        scratch.clear();
-        scratch.extend(cells.iter().zip(sizes).map(|(c, &s)| StratumEstimate {
-            size: s,
-            draws: c.draws,
-            positives: c.positives,
-            p_hat: c.p_hat,
-            mu_hat: c.mu_hat,
-            sigma_hat: c.sigma_hat,
-        }));
-        let est = combine_estimate(Aggregate::Avg, scratch);
+        let est = combine_estimate(Aggregate::Avg, cells);
         // Variance estimate: Σ_k ŵ²σ̂²/B_k over positive draws.
-        let w_total: f64 = cells.iter().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+        let w_total: f64 = cells.iter().map(|c| c.size as f64 * c.p_hat).sum();
         if w_total <= 0.0 {
             continue;
         }
         let mut var = 0.0;
         let mut usable = true;
-        for (c, &s) in cells.iter().zip(sizes) {
-            let w = s as f64 * c.p_hat / w_total;
+        for c in cells {
+            let w = c.size as f64 * c.p_hat / w_total;
             if w == 0.0 {
                 continue;
             }
@@ -973,7 +932,7 @@ fn blend_group(
         let w = 1.0 / var.max(1e-12);
         weighted += w * est;
         weight_total += w;
-        on_term(w, scratch);
+        on_term(w, cells);
     }
     let estimate = if weight_total > 0.0 {
         weighted / weight_total
@@ -993,15 +952,12 @@ fn blend_group(
 /// blend if the stratifications were independent. A group on the fallback
 /// path, or with a variance that is not finite, gets no CI.
 fn single_oracle_closed_form_cis(run: &SingleOracleRun, alpha: f64) -> Vec<GroupEstimateWithCi> {
-    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(|s| s.sizes()).collect();
-    let strata = run.buckets.first().map(Vec::len).unwrap_or(0);
-    let grid = bucket_cells(&run.buckets, &run.cache, strata);
-    let mut scratch = Vec::with_capacity(strata);
+    let grid = bucket_cells(&run.buckets, &run.cache, &run.stratifications);
     let mut terms: Vec<(f64, Option<f64>)> = Vec::with_capacity(grid.groups);
     (0..grid.groups)
         .map(|gg| {
             terms.clear();
-            let blend = blend_group(&grid, &sizes, gg, &mut scratch, |w, strata| {
+            let blend = blend_group(&grid, gg, |w, strata| {
                 terms.push((w, estimator_variance(Aggregate::Avg, strata)));
             });
             let var = (blend.weight_total > 0.0).then(|| {
@@ -1071,17 +1027,7 @@ pub fn groupby_multi_oracle<O: Oracle, R: Rng + ?Sized>(
             &ests.iter().map(|e| e.p_hat).collect::<Vec<_>>(),
             &ests.iter().map(|e| e.sigma_hat).collect::<Vec<_>>(),
         );
-        let cells: Vec<CellStats> = ests
-            .iter()
-            .map(|e| CellStats {
-                draws: e.draws,
-                positives: e.positives,
-                p_hat: e.p_hat,
-                mu_hat: e.mu_hat,
-                sigma_hat: e.sigma_hat,
-            })
-            .collect();
-        unit_err.push(per_unit_error(&cells, &sizes, &t));
+        unit_err.push(per_unit_error(&ests, &t));
         t_hats.push(t);
     }
 
@@ -1672,9 +1618,15 @@ mod ci_tests {
         assert_eq!(err.unwrap_err(), GroupByError::Config(ConfigError::ZeroStrata));
     }
 
-    /// Group `g`'s cell of one bucket, one cache lookup per id: the
-    /// per-group pass the one-pass cells replaced, kept as their reference.
-    fn reference_cell(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
+    /// Group `g`'s cell of one bucket of a stratum of `size` records, one
+    /// cache lookup per id: the per-group pass the one-pass cells replaced,
+    /// kept as their reference.
+    fn reference_cell(
+        ids: &[usize],
+        cache: &BTreeMap<usize, GroupLabel>,
+        g: u16,
+        size: usize,
+    ) -> StratumEstimate {
         let mut moments = StreamingMoments::new();
         let mut positives = 0usize;
         for id in ids {
@@ -1684,7 +1636,8 @@ mod ci_tests {
                 moments.push(label.value);
             }
         }
-        CellStats {
+        StratumEstimate {
+            size,
             draws: ids.len(),
             positives,
             p_hat: if ids.is_empty() { 0.0 } else { positives as f64 / ids.len() as f64 },
@@ -1711,30 +1664,18 @@ mod ci_tests {
             let mut fallback_n = 0usize;
             for l in 0..g {
                 let sizes = stratifications[l].sizes();
-                let cells: Vec<CellStats> =
-                    (0..k).map(|kk| reference_cell(&buckets[l][kk], cache, gg as u16)).collect();
-                let strata_est: Vec<StratumEstimate> = cells
-                    .iter()
-                    .zip(&sizes)
-                    .map(|(c, &s)| StratumEstimate {
-                        size: s,
-                        draws: c.draws,
-                        positives: c.positives,
-                        p_hat: c.p_hat,
-                        mu_hat: c.mu_hat,
-                        sigma_hat: c.sigma_hat,
-                    })
+                let cells: Vec<StratumEstimate> = (0..k)
+                    .map(|kk| reference_cell(&buckets[l][kk], cache, gg as u16, sizes[kk]))
                     .collect();
-                let est = combine_estimate(crate::config::Aggregate::Avg, &strata_est);
-                let w_total: f64 =
-                    cells.iter().zip(&sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+                let est = combine_estimate(crate::config::Aggregate::Avg, &cells);
+                let w_total: f64 = cells.iter().map(|c| c.size as f64 * c.p_hat).sum();
                 if w_total <= 0.0 {
                     continue;
                 }
                 let mut var = 0.0;
                 let mut usable = true;
-                for (c, &s) in cells.iter().zip(&sizes) {
-                    let w = s as f64 * c.p_hat / w_total;
+                for c in &cells {
+                    let w = c.size as f64 * c.p_hat / w_total;
                     if w == 0.0 {
                         continue;
                     }
@@ -2014,23 +1955,13 @@ mod ci_tests {
         sample_without_replacement(fresh.len(), want, rng).into_iter().map(|p| fresh[p]).collect()
     }
 
-    /// Group `gg`'s cells under stratification `l`, as stratum estimates.
+    /// Group `gg`'s cells under stratification `l`.
     fn reference_strata(run: &SingleOracleRun, l: usize, gg: u16) -> Vec<StratumEstimate> {
         let sizes = run.stratifications[l].sizes();
         run.buckets[l]
             .iter()
             .zip(sizes)
-            .map(|(ids, size)| {
-                let c = reference_cell(ids, &run.cache, gg);
-                StratumEstimate {
-                    size,
-                    draws: c.draws,
-                    positives: c.positives,
-                    p_hat: c.p_hat,
-                    mu_hat: c.mu_hat,
-                    sigma_hat: c.sigma_hat,
-                }
-            })
+            .map(|(ids, size)| reference_cell(ids, &run.cache, gg, size))
             .collect()
     }
 

@@ -17,12 +17,11 @@
 //!   (Proposition 1).
 //! * [`error_model`] — the closed-form MSE of the optimal allocation
 //!   (Proposition 2), used for proxy selection and group-by allocation.
-//! * [`estimator`] — per-stratum plug-in estimates `p̂_k, μ̂_k, σ̂_k` and
+//! * [`estimator`] — per-stratum plug-in estimates `p̂_k, μ̂_k, σ̂_k`, the
+//!   running per-stratum tally every sampler folds its labels into, and
 //!   the combined estimator `Σ p̂_k μ̂_k / Σ p̂_k` (Algorithm 1 lines 9–20).
 //! * [`two_stage`] — the two-stage sampling algorithm (`ABaeSample`),
 //!   blocking and anytime (progressive snapshots with early stop).
-//! * [`stratum_stats`] — mergeable per-stratum sufficient statistics, the
-//!   commutative monoid behind snapshots and chunked ingest.
 //! * [`pipeline`] — batch-parallel oracle labeling with deterministic
 //!   ordering; every algorithm labels its draws through it.
 //! * [`batcher`] — cross-session coalescing of labeling requests into
@@ -57,7 +56,6 @@ pub mod pipeline;
 pub mod proxy_combine;
 pub mod proxy_select;
 pub mod strata;
-pub mod stratum_stats;
 pub mod two_stage;
 pub mod uniform;
 
@@ -66,7 +64,6 @@ pub use config::{Aggregate, AbaeConfig, BootstrapConfig, ConfigError, Rounding, 
 pub use estimator::{combine_estimate, StratumEstimate};
 pub use pipeline::ExecOptions;
 pub use strata::Stratification;
-pub use stratum_stats::{merge_states, StratumStats, TaggedDraw};
 pub use two_stage::{
     run_abae, run_abae_multi_progressive, run_abae_stratified, run_abae_with_ci, AbaeResult,
     AggAnswer, MultiAggResult, ProgressiveOptions, Snapshot, TwoStageRun,

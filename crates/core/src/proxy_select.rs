@@ -9,10 +9,10 @@
 //! adds no oracle cost.
 
 use crate::error_model::optimal_mse;
+use crate::estimator::Tally;
 use crate::strata::Stratification;
 use abae_data::{Labeled, Oracle};
 use abae_sampling::wor::sample_without_replacement;
-use abae_stats::StreamingMoments;
 use rand::Rng;
 
 /// One labeled pilot draw: record index plus its oracle result.
@@ -64,28 +64,18 @@ fn predicted_mse_for(
     budget: usize,
 ) -> f64 {
     let stratification = Stratification::by_proxy_quantile(proxy, strata);
-    // Invert: record index → stratum id.
-    let mut stratum_of = vec![0u32; proxy.len()];
-    for (k, members) in stratification.strata().iter().enumerate() {
-        for &i in members {
-            stratum_of[i] = k as u32;
-        }
-    }
-    let mut draws = vec![0usize; strata];
-    let mut positives = vec![0usize; strata];
-    let mut moments = vec![StreamingMoments::new(); strata];
+    let mut tallies = vec![Tally::default(); strata];
     for s in pilot {
-        let k = stratum_of[s.index] as usize;
-        draws[k] += 1;
-        if s.labeled.matches {
-            positives[k] += 1;
-            moments[k].push(s.labeled.value);
-        }
+        tallies[stratification.locate(s.index).0].push(s.labeled);
     }
-    let p: Vec<f64> = (0..strata)
-        .map(|k| if draws[k] == 0 { 0.0 } else { positives[k] as f64 / draws[k] as f64 })
-        .collect();
-    let sigma: Vec<f64> = moments.iter().map(StreamingMoments::sample_std_dev_or_zero).collect();
+    let (p, sigma): (Vec<f64>, Vec<f64>) = tallies
+        .iter()
+        .zip(stratification.sizes())
+        .map(|(t, size)| {
+            let e = t.estimate(size);
+            (e.p_hat, e.sigma_hat)
+        })
+        .unzip();
     optimal_mse(&p, &sigma, budget)
 }
 

@@ -9,21 +9,22 @@
 //! [`SampleReuse::Disabled`] — costs substantial accuracy).
 //!
 //! One executor, [`run_abae_stratified`], runs Algorithm 2 over a stored
-//! stratification in either mode, on one chunked core: labeling proceeds
-//! in budget chunks, each chunk's labels fold into mergeable
-//! [`StratumStats`] (a commutative monoid, so chunk boundaries cannot
-//! change the accumulated state), and in anytime mode a [`Snapshot`] — a
-//! statistically valid estimate of the same query — is emitted after
-//! every chunk. Blocking mode is simply the one-chunk instance with no
-//! snapshots. The entry points that take scores ([`run_abae_with_ci`],
-//! [`run_abae_multi_progressive`]) check, stratify once and delegate to
-//! it. All randomness (which records to draw) stays on the caller's RNG
-//! in a fixed order. An intermediate snapshot's CIs are closed-form
-//! ([`closed_form_ci`] over the merged strata), so a snapshot reads no
-//! RNG and costs O(K) once its strata are folded. A run that spends its
-//! cap ends with Algorithm 2's bootstrap on the caller's stream, so its
-//! final snapshot is bit-identical to a blocking run at any thread count
-//! and any chunk size.
+//! stratification in either mode, on one chunked core. All randomness
+//! (which records to draw) stays on the caller's RNG and is drawn before
+//! each stage's labeling, so the draw order is fixed up front. Labeling
+//! proceeds in budget chunks, and each label folds into its stratum's
+//! running tally as it arrives, in that draw order: the tallies after any
+//! prefix of the draws are the same for every chunk size. In anytime mode
+//! a [`Snapshot`] — a statistically valid estimate of the same query — is
+//! emitted after every chunk; blocking mode is simply the one-chunk
+//! instance with no snapshots. The entry points that take scores
+//! ([`run_abae_with_ci`], [`run_abae_multi_progressive`]) check, stratify
+//! once and delegate to it. An intermediate snapshot's CIs are
+//! closed-form ([`closed_form_ci`] over the tallies' estimates), so a
+//! snapshot reads no RNG and costs O(K). A run that spends its cap ends
+//! with Algorithm 2's bootstrap on the caller's stream, so its final
+//! snapshot is bit-identical to a blocking run at any thread count and
+//! any chunk size.
 //!
 //! §3.1 prices a 1,000-trial bootstrap at about 2,500 oracle calls on the
 //! paper's T4. Bootstrapping every snapshot would pay that at every chunk
@@ -34,11 +35,10 @@
 
 use crate::bootstrap::bootstrap_cis_on;
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
-use crate::estimator::{combine_estimate, StratumEstimate};
+use crate::estimator::{combine_estimate, StratumEstimate, Tally};
 use crate::normal_ci::closed_form_ci;
 use crate::pipeline::{self, ReplicateThreads};
 use crate::strata::Stratification;
-use crate::stratum_stats::StratumStats;
 use abae_data::{Labeled, Oracle};
 use abae_sampling::budget::{
     chunk_sizes, floor_allocation, largest_remainder_allocation, stage_split,
@@ -107,10 +107,11 @@ pub struct MultiAggResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// One answer per requested aggregate, as of this snapshot. Estimates
-    /// come from the merged [`StratumStats`]. An intermediate snapshot's
-    /// CIs are closed-form ([`closed_form_ci`], `None` where the variance
-    /// is not estimable yet) and read no RNG; the last snapshot of a run
-    /// that spends its cap carries the blocking run's bootstrap CIs.
+    /// come from each stratum's draws so far, folded in draw order. An
+    /// intermediate snapshot's CIs are closed-form ([`closed_form_ci`],
+    /// `None` where the variance is not estimable yet) and read no RNG;
+    /// the last snapshot of a run that spends its cap carries the blocking
+    /// run's bootstrap CIs.
     pub answers: Vec<AggAnswer>,
     /// Oracle labels consumed up to and including this snapshot's chunk.
     pub budget_spent: u64,
@@ -157,6 +158,9 @@ struct ChunkedRun {
     pilot: Vec<StratumEstimate>,
     /// Estimated optimal allocation (empty when stopped during Stage 1).
     t_hat: Vec<f64>,
+    /// Per-stratum estimates of `samples` (read only when the run
+    /// completes).
+    strata: Vec<StratumEstimate>,
     /// Per-stratum labeled draws in draw order, reuse-adjusted — exactly
     /// what the blocking estimator and bootstrap consume.
     samples: Vec<Vec<Labeled>>,
@@ -168,32 +172,27 @@ struct ChunkedRun {
     oracle_calls: u64,
 }
 
-/// Labels one chunk of `(stratum, record)` work items, appends the labels
-/// to `out` in draw order, and folds the chunk into the accumulated
-/// per-stratum states via [`StratumStats::merge`] — the chunked-ingest
-/// path: each chunk is a partial state merged into the whole.
+/// Labels one chunk of `(stratum, record)` work items and pushes each
+/// label, in draw order, onto its stratum's draws in `out` and into its
+/// stratum's tally.
 fn label_chunk<O: Oracle + ?Sized>(
     oracle: &O,
     config: &AbaeConfig,
     items: &[(usize, usize)],
     out: &mut [Vec<Labeled>],
-    stats: &mut [StratumStats],
-    sizes: &[usize],
+    tallies: &mut [Tally],
 ) {
     let ids: Vec<usize> = items.iter().map(|&(_, id)| id).collect();
     let labels = pipeline::label_all(oracle, &ids, &config.exec);
-    let mut partial: Vec<Vec<(usize, Labeled)>> = vec![Vec::new(); out.len()];
-    for (&(s, id), &label) in items.iter().zip(&labels) {
+    for (&(s, _), &label) in items.iter().zip(&labels) {
         out[s].push(label);
-        partial[s].push((id, label));
+        tallies[s].push(label);
     }
-    for (s, p) in partial.into_iter().enumerate() {
-        if !p.is_empty() {
-            let incoming = StratumStats::from_labeled(sizes[s], p);
-            let acc = std::mem::replace(&mut stats[s], StratumStats::empty(sizes[s]));
-            stats[s] = StratumStats::merge(acc, incoming);
-        }
-    }
+}
+
+/// Each stratum's estimates from its tally.
+fn estimates(tallies: &[Tally], sizes: &[usize]) -> Vec<StratumEstimate> {
+    tallies.iter().zip(sizes).map(|(t, &n)| t.estimate(n)).collect()
 }
 
 /// The chunked two-stage core. All RNG consumption (which records to draw)
@@ -201,17 +200,17 @@ fn label_chunk<O: Oracle + ?Sized>(
 /// per stratum, then Stage-2 draws per stratum — identical to the blocking
 /// interleaved order because labeling never touches the RNG. Labeling
 /// proceeds in `chunk`-sized pieces; after every chunk *except the last of
-/// a run* the observer sees the merged per-stratum states, the budget
-/// spent, and whether the pilot stage is complete, and may stop the run by
-/// returning `true`. With `chunk == usize::MAX` and an always-`false`
-/// observer this is exactly the blocking executor.
+/// a run* the observer sees each stratum's estimates from its draws so
+/// far, the budget spent, and whether the pilot stage is complete, and may
+/// stop the run by returning `true`. With `chunk == usize::MAX` and an
+/// always-`false` observer this is exactly the blocking executor.
 fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
     stratification: &Stratification,
     oracle: &O,
     config: &AbaeConfig,
     chunk: usize,
     rng: &mut R,
-    observe: &mut dyn FnMut(&[StratumStats], u64, bool) -> bool,
+    observe: &mut dyn FnMut(&[StratumEstimate], u64, bool) -> bool,
 ) -> ChunkedRun {
     let k = stratification.len();
     let split = stage_split(config.budget, config.stage1_fraction, k);
@@ -229,8 +228,7 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
         pools.push(pool);
     }
 
-    let mut stats: Vec<StratumStats> =
-        sizes.iter().map(|&n| StratumStats::empty(n)).collect();
+    let mut tallies = vec![Tally::default(); k];
     let mut stage1: Vec<Vec<Labeled>> = vec![Vec::new(); k];
     let mut spent = 0u64;
     let mut stopped = false;
@@ -242,10 +240,10 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
     let chunks1 = chunk_sizes(flat1.len(), chunk);
     let mut start = 0;
     for (i, &csize) in chunks1.iter().enumerate() {
-        label_chunk(oracle, config, &flat1[start..start + csize], &mut stage1, &mut stats, &sizes);
+        label_chunk(oracle, config, &flat1[start..start + csize], &mut stage1, &mut tallies);
         start += csize;
         spent += csize as u64;
-        if i + 1 < chunks1.len() && observe(&stats, spent, false) {
+        if i + 1 < chunks1.len() && observe(&estimates(&tallies, &sizes), spent, false) {
             stopped = true;
             break;
         }
@@ -255,11 +253,7 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
     let mut t_hat: Vec<f64> = Vec::new();
     let mut stage2: Vec<Vec<Labeled>> = vec![Vec::new(); k];
     if !stopped {
-        pilot = stage1
-            .iter()
-            .enumerate()
-            .map(|(s, draws)| StratumEstimate::from_draws(sizes[s], draws))
-            .collect();
+        pilot = estimates(&tallies, &sizes);
 
         // Allocation from pilot estimates: T̂_k ∝ √p̂_k σ̂_k.
         let weights: Vec<f64> = pilot.iter().map(|e| e.p_hat.sqrt() * e.sigma_hat).collect();
@@ -282,29 +276,23 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
 
         // The deferred Stage-1 boundary is a snapshot only when Stage 2 has
         // work left (otherwise it is the run's final chunk).
-        if !flat2.is_empty() && observe(&stats, spent, true) {
+        if !flat2.is_empty() && observe(&pilot, spent, true) {
             stopped = true;
         }
         if !stopped {
             if config.reuse == SampleReuse::Disabled {
-                // Final estimates discard the pilot, so the snapshot state
-                // resets at the stage boundary too.
-                stats = sizes.iter().map(|&n| StratumStats::empty(n)).collect();
+                // Final estimates discard the pilot, so the tallies reset
+                // at the stage boundary too.
+                tallies = vec![Tally::default(); k];
             }
             let chunks2 = chunk_sizes(flat2.len(), chunk);
             let mut start = 0;
             for (i, &csize) in chunks2.iter().enumerate() {
-                label_chunk(
-                    oracle,
-                    config,
-                    &flat2[start..start + csize],
-                    &mut stage2,
-                    &mut stats,
-                    &sizes,
-                );
+                let items = &flat2[start..start + csize];
+                label_chunk(oracle, config, items, &mut stage2, &mut tallies);
                 start += csize;
                 spent += csize as u64;
-                if i + 1 < chunks2.len() && observe(&stats, spent, true) {
+                if i + 1 < chunks2.len() && observe(&estimates(&tallies, &sizes), spent, true) {
                     stopped = true;
                     break;
                 }
@@ -327,6 +315,7 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
     ChunkedRun {
         pilot,
         t_hat,
+        strata: estimates(&tallies, &sizes),
         samples,
         budget_spent: spent,
         stopped,
@@ -353,15 +342,9 @@ pub fn run_two_stage<O: Oracle, R: Rng + ?Sized>(
     config.validate()?;
     let run =
         two_stage_chunked(stratification, oracle, config, usize::MAX, rng, &mut |_, _, _| false);
-    let strata: Vec<StratumEstimate> = run
-        .samples
-        .iter()
-        .enumerate()
-        .map(|(s, draws)| StratumEstimate::from_draws(stratification.stratum(s).len(), draws))
-        .collect();
     Ok(TwoStageRun {
-        estimate: combine_estimate(agg, &strata),
-        strata,
+        estimate: combine_estimate(agg, &run.strata),
+        strata: run.strata,
         pilot: run.pilot,
         t_hat: run.t_hat,
         samples: run.samples,
@@ -419,22 +402,20 @@ pub fn run_abae_with_ci<O: Oracle, R: Rng + ?Sized>(
     Ok(AbaeResult { estimate: answer.estimate, ci: answer.ci, oracle_calls: multi.oracle_calls })
 }
 
-/// Builds one intermediate snapshot from the merged per-stratum states:
-/// each stratum's estimate (what [`StratumStats::estimate`] derives) feeds
+/// Builds one intermediate snapshot from each stratum's estimates so far:
 /// every aggregate's point estimate and its closed-form CI at `alpha`.
-fn snapshot_from_stats(
-    stats: &[StratumStats],
+fn snapshot_from_estimates(
+    strata: &[StratumEstimate],
     aggs: &[Aggregate],
     alpha: f64,
     budget_spent: u64,
 ) -> Snapshot {
-    let estimates: Vec<StratumEstimate> = stats.iter().map(StratumStats::estimate).collect();
     let answers = aggs
         .iter()
         .map(|&agg| AggAnswer {
             agg,
-            estimate: combine_estimate(agg, &estimates),
-            ci: closed_form_ci(agg, &estimates, alpha),
+            estimate: combine_estimate(agg, strata),
+            ci: closed_form_ci(agg, strata, alpha),
         })
         .collect();
     Snapshot { answers, budget_spent, done: false }
@@ -488,7 +469,7 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
 ///   the blocking answer for any chunk size and thread count. With
 ///   [`ProgressiveOptions::target_ci_width`] set, the run stops at the
 ///   first chunk boundary — once the pilot stage is complete and the
-///   merged strata hold a positive — where the primary (first) aggregate's
+///   draws so far hold a positive — where the primary (first) aggregate's
 ///   snapshot CI is narrower than the target, charging only the budget
 ///   consumed, and answers with that snapshot. A snapshot without a CI
 ///   never stops the run.
@@ -522,18 +503,18 @@ pub fn run_abae_stratified<O: Oracle, R: Rng + ?Sized>(
 
     let mut stopping: Option<Snapshot> = None;
     let run = {
-        let mut observe = |stats: &[StratumStats], spent: u64, pilot_complete: bool| -> bool {
+        let mut observe = |strata: &[StratumEstimate], spent: u64, pilot_complete: bool| -> bool {
             if anytime.is_none() {
                 return false;
             }
-            let mut snap = snapshot_from_stats(stats, aggs, config.bootstrap.alpha, spent);
+            let mut snap = snapshot_from_estimates(strata, aggs, config.bootstrap.alpha, spent);
             // The stopping rule only applies once the pilot stage is
             // complete: partial-pilot CIs can degenerate to zero width
             // (e.g. an all-negative first stratum) and would stop bogusly.
-            // For the same reason it never stops while the merged strata
+            // For the same reason it never stops while the draws so far
             // hold no positive: an `AVG` then has no CI, and a `COUNT` or
             // `SUM` has a degenerate [0, 0] at any spend.
-            let positives = stats.iter().any(|s| s.positives() > 0);
+            let positives = strata.iter().any(|s| s.positives > 0);
             let stop = match (target, snap.answers.first().and_then(|a| a.ci)) {
                 (Some(w), Some(ci)) => pilot_complete && positives && ci.width() < w,
                 _ => false,
@@ -556,17 +537,11 @@ pub fn run_abae_stratified<O: Oracle, R: Rng + ?Sized>(
     // A complete run: final estimates from the draw-order samples,
     // bootstrap CIs from the caller's RNG at the same stream position in
     // either mode.
-    let strata: Vec<StratumEstimate> = run
-        .samples
-        .iter()
-        .enumerate()
-        .map(|(s, draws)| StratumEstimate::from_draws(sizes[s], draws))
-        .collect();
     let cis = bootstrap_cis_on(threads, &run.samples, &sizes, aggs, &config.bootstrap, rng);
     let answers: Vec<AggAnswer> = aggs
         .iter()
         .zip(cis)
-        .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &strata), ci })
+        .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &run.strata), ci })
         .collect();
     if anytime.is_some() {
         on_snapshot(&Snapshot {
@@ -1067,39 +1042,50 @@ mod tests {
         assert!(covered as f64 / trials as f64 > 0.8, "coverage {covered}/{trials}");
     }
 
-    /// Every observer boundary of a run: the snapshot CIs that
-    /// `closed_form_ci` gives over the merged states' estimates, recorded
-    /// from the chunked core itself with an observer that never stops.
-    fn reference_snapshot_cis(
-        strat: &Stratification,
-        oracle: &(impl Oracle + ?Sized),
-        cfg: &AbaeConfig,
-        aggs: &[Aggregate],
-        chunk: usize,
-        rng: &mut StdRng,
-    ) -> Vec<(u64, Vec<Option<ConfidenceInterval>>)> {
-        let mut seen = Vec::new();
-        two_stage_chunked(strat, oracle, cfg, chunk, rng, &mut |stats, spent, _| {
-            let estimates: Vec<StratumEstimate> = stats
-                .iter()
-                .map(|s| StratumEstimate::from_draws(s.size(), &s.labeled()))
-                .collect();
-            let cis = aggs
-                .iter()
-                .map(|&agg| closed_form_ci(agg, &estimates, cfg.bootstrap.alpha))
-                .collect();
-            seen.push((spent, cis));
-            false
-        });
-        seen
-    }
-
     fn ci_bits(ci: Option<ConfidenceInterval>) -> Option<[u64; 3]> {
         ci.map(|c| [c.lo.to_bits(), c.hi.to_bits(), c.confidence.to_bits()])
     }
 
+    fn answer_bits(snap: &Snapshot) -> Vec<(u64, Option<[u64; 3]>)> {
+        snap.answers.iter().map(|a| (a.estimate.to_bits(), ci_bits(a.ci))).collect()
+    }
+
+    /// What a snapshot after `spent` labels answers, rebuilt from the
+    /// blocking run's draws (`run` must reuse its pilot): each stratum's
+    /// prefix of the draw order — Stage 1 stratum by stratum, then Stage 2
+    /// stratum by stratum — folded by `from_draws`, then every aggregate's
+    /// estimate and closed-form CI at `alpha`.
+    fn reference_snapshot(
+        run: &TwoStageRun,
+        sizes: &[usize],
+        aggs: &[Aggregate],
+        alpha: f64,
+        spent: u64,
+    ) -> Vec<(u64, Option<[u64; 3]>)> {
+        let n1: Vec<usize> = run.pilot.iter().map(|e| e.draws).collect();
+        let stage1 = (0..sizes.len()).flat_map(|s| std::iter::repeat(s).take(n1[s]));
+        let stage2 = (0..sizes.len())
+            .flat_map(|s| std::iter::repeat(s).take(run.samples[s].len() - n1[s]));
+        let mut prefix = vec![0usize; sizes.len()];
+        for s in stage1.chain(stage2).take(spent as usize) {
+            prefix[s] += 1;
+        }
+        let strata: Vec<StratumEstimate> = sizes
+            .iter()
+            .zip(&run.samples)
+            .zip(&prefix)
+            .map(|((&size, draws), &m)| StratumEstimate::from_draws(size, &draws[..m]))
+            .collect();
+        aggs.iter()
+            .map(|&agg| {
+                let ci = closed_form_ci(agg, &strata, alpha);
+                (combine_estimate(agg, &strata).to_bits(), ci_bits(ci))
+            })
+            .collect()
+    }
+
     #[test]
-    fn intermediate_snapshots_carry_the_closed_form_ci_of_the_merged_strata() {
+    fn intermediate_snapshots_fold_the_blocking_runs_draws_in_draw_order() {
         let (scores, labels, values) = make_population(10_000);
         let cfg = AbaeConfig {
             budget: 900,
@@ -1108,20 +1094,18 @@ mod tests {
         };
         let aggs = [Aggregate::Avg, Aggregate::Count, Aggregate::Sum];
         let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+        let sizes = strat.sizes();
+        let oracle = || oracle_for(labels.clone(), values.clone());
+        let mut rng = StdRng::seed_from_u64(17);
+        let run = run_two_stage(&strat, &oracle(), &cfg, aggs[0], &mut rng).unwrap();
+        let n1: u64 = run.pilot.iter().map(|e| e.draws as u64).sum();
+        assert!(n1 < run.oracle_calls, "Stage 2 has draws");
         for chunk in [1usize, 64, 4096] {
-            let want = reference_snapshot_cis(
-                &strat,
-                &oracle_for(labels.clone(), values.clone()),
-                &cfg,
-                &aggs,
-                chunk,
-                &mut StdRng::seed_from_u64(17),
-            );
             let mut snaps: Vec<Snapshot> = Vec::new();
             let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
             run_abae_stratified(
                 &strat,
-                &oracle_for(labels.clone(), values.clone()),
+                &oracle(),
                 &cfg,
                 &aggs,
                 Some(&opts),
@@ -1131,14 +1115,21 @@ mod tests {
             .unwrap();
             let (last, intermediate) = snaps.split_last().expect("a final snapshot");
             assert!(last.done, "chunk {chunk}");
-            assert_eq!(intermediate.len(), want.len(), "chunk {chunk}");
-            // At chunk 4096 the stage boundary is the one intermediate look.
-            assert_eq!(intermediate.len() == 1, chunk == 4096, "chunk {chunk}");
-            for (snap, (spent, cis)) in intermediate.iter().zip(&want) {
-                assert_eq!(snap.budget_spent, *spent, "chunk {chunk}");
-                let got: Vec<_> = snap.answers.iter().map(|a| ci_bits(a.ci)).collect();
-                let want: Vec<_> = cis.iter().map(|&ci| ci_bits(ci)).collect();
-                assert_eq!(got, want, "chunk {chunk}, spent {spent}");
+            // A look at every chunk boundary inside each stage and one at
+            // the stage boundary: at chunk 4096 that one is the only look.
+            let c = chunk as u64;
+            let looks: Vec<u64> = (1..)
+                .map(|i| i * c)
+                .take_while(|&x| x < n1)
+                .chain(std::iter::once(n1))
+                .chain((1..).map(|i| n1 + i * c).take_while(|&x| x < run.oracle_calls))
+                .collect();
+            let spends: Vec<u64> = intermediate.iter().map(|s| s.budget_spent).collect();
+            assert_eq!(spends, looks, "chunk {chunk}");
+            for snap in intermediate {
+                let spent = snap.budget_spent;
+                let want = reference_snapshot(&run, &sizes, &aggs, cfg.bootstrap.alpha, spent);
+                assert_eq!(answer_bits(snap), want, "chunk {chunk}, spent {spent}");
             }
         }
     }
@@ -1152,15 +1143,17 @@ mod tests {
             ..Default::default()
         };
         let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+        let sizes = strat.sizes();
         let aggs = [Aggregate::Avg, Aggregate::Sum];
-        let want = reference_snapshot_cis(
+        let run = run_two_stage(
             &strat,
             &oracle_for(labels.clone(), values.clone()),
             &cfg,
-            &aggs,
-            100,
+            aggs[0],
             &mut StdRng::seed_from_u64(9),
-        );
+        )
+        .unwrap();
+        let n1: u64 = run.pilot.iter().map(|e| e.draws as u64).sum();
         let opts = ProgressiveOptions { chunk: Some(100), target_ci_width: Some(1.5) };
         let oracle = oracle_for(labels, values);
         let mut snaps: Vec<Snapshot> = Vec::new();
@@ -1179,14 +1172,16 @@ mod tests {
         assert_eq!(result.answers, stop.answers, "the answer is the stopping snapshot");
         assert_eq!(result.oracle_calls, stop.budget_spent);
         assert!(result.oracle_calls < 4000, "spent {}", result.oracle_calls);
-        // The stopping snapshot is the closed form at its boundary, and the
-        // first boundary whose primary CI meets the target.
-        let at = want.iter().position(|(spent, _)| *spent == stop.budget_spent).unwrap();
-        let got: Vec<_> = stop.answers.iter().map(|a| ci_bits(a.ci)).collect();
-        let cis: Vec<_> = want[at].1.iter().map(|&ci| ci_bits(ci)).collect();
-        assert_eq!(got, cis);
-        assert!(stop.answers[0].ci.unwrap().width() < 1.5);
-        assert_eq!(snaps.len(), at + 1);
+        // Every look answers from the blocking run's draws so far, and the
+        // run stops at the first look after the pilot whose primary CI
+        // meets the target.
+        for snap in &snaps {
+            let spent = snap.budget_spent;
+            let want = reference_snapshot(&run, &sizes, &aggs, cfg.bootstrap.alpha, spent);
+            assert_eq!(answer_bits(snap), want, "spent {spent}");
+            let meets = spent >= n1 && snap.answers[0].ci.is_some_and(|ci| ci.width() < 1.5);
+            assert_eq!(meets, snap.done, "spent {spent}");
+        }
     }
 
     #[test]

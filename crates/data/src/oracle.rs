@@ -11,11 +11,12 @@
 //! threads while tests still assert that an algorithm spent exactly its
 //! budget.
 //!
-//! For offline throughput experiments, each built-in oracle carries an
-//! optional simulated per-invocation latency ([`PredicateOracle::with_latency`]
-//! and friends): labeling a batch of `m` records then costs `m × latency`
-//! of wall-clock sleep on the calling thread, which makes multi-threaded
-//! speedups measurable without a real DNN behind the oracle.
+//! For offline throughput experiments, [`PredicateOracle`] and [`FnOracle`]
+//! carry an optional simulated per-invocation latency
+//! ([`PredicateOracle::with_latency`], [`FnOracle::with_latency`]):
+//! labeling a batch of `m` records then costs `m × latency` of wall-clock
+//! sleep on the calling thread, which makes multi-threaded speedups
+//! measurable without a real DNN behind the oracle.
 //!
 //! Because the oracle is deterministic per record, verdicts can be reused
 //! *across* queries: the [`LabelStore`] memoizes labels by
@@ -272,12 +273,6 @@ impl<'a> SingleGroupOracle<'a> {
     pub fn new(table: &'a Table) -> Option<Self> {
         table.group_key()?;
         Some(Self { table, meter: Meter::default() })
-    }
-
-    /// Simulates `latency` of inference time per invocation.
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.meter.latency = latency;
-        self
     }
 
     /// Batch invocations so far (one per non-empty batch, shared by the

@@ -31,10 +31,9 @@ pub const BLESSED_RNG_PATHS: &[&str] = &[
 ];
 
 /// Pinned floating-point kernels: summation order here is already fixed
-/// by construction (sequential folds / mergeable-statistics algebra), so
-/// `float_order` does not second-guess them.
-pub const PINNED_FLOAT_PATHS: &[&str] =
-    &["crates/stats/src/", "crates/core/src/stratum_stats.rs", "crates/data/src/columnar/"];
+/// by construction (sequential folds), so `float_order` does not
+/// second-guess them.
+pub const PINNED_FLOAT_PATHS: &[&str] = &["crates/stats/src/", "crates/data/src/columnar/"];
 
 /// Directory names never scanned (vendored stand-ins, build output, VCS).
 pub const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "scratch"];
@@ -113,7 +112,6 @@ mod tests {
         assert!(classify("crates/query/src/session.rs").blessed_rng);
         assert!(classify("crates/data/src/emulators/jackson.rs").blessed_rng);
         assert!(classify("crates/stats/src/ci.rs").pinned_float);
-        assert!(classify("crates/core/src/stratum_stats.rs").pinned_float);
         assert!(!classify("crates/core/src/pipeline.rs").pinned_float);
     }
 

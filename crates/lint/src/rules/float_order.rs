@@ -4,8 +4,8 @@
 //! operand order depends on scheduling breaks bit-identical results. The
 //! rule only fires in result-path files that actually spawn work
 //! (`thread::scope`, `.spawn`, rayon's `par_iter` family) outside tests;
-//! the pinned kernel modules (`stats`, `stratum_stats`, columnar
-//! kernels) fix their fold order by construction and are exempt.
+//! the pinned kernel modules (`stats`, columnar kernels) fix their fold
+//! order by construction and are exempt.
 
 use super::{is_path_seq, FileCtx};
 use crate::diag::Diagnostic;
@@ -39,7 +39,7 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 t.line,
                 format!(
                     "`.{text}()` in a module that spawns parallel work; fold floats in a pinned \
-                     order (sequential loop or the mergeable-statistics algebra) instead"
+                     order (a sequential loop) instead"
                 ),
             ));
         }

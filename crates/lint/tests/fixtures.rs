@@ -174,7 +174,6 @@ fn float_order_negative_sequential_pinned_or_elsewhere() {
     assert!(denied("crates/core/src/x.rs", seq).is_empty(), "no parallelism, no finding");
     let par = "fn f(xs: &[f64]) -> f64 {\n    std::thread::scope(|s| { s.spawn(|| ()); });\n    xs.iter().sum()\n}\n";
     assert!(denied("crates/stats/src/x.rs", par).is_empty(), "pinned kernel modules exempt");
-    assert!(denied("crates/core/src/stratum_stats.rs", par).is_empty());
     assert!(denied("crates/bench/src/x.rs", par).is_empty(), "outside result path");
 }
 

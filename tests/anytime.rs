@@ -15,11 +15,13 @@
 use abae::core::groupby::{
     groupby_single_oracle_progressive, groupby_single_oracle_stratified, GroupByConfig,
 };
+use abae::core::normal_ci::closed_form_ci;
 use abae::core::pipeline::ExecOptions;
+use abae::core::two_stage::run_two_stage;
 use abae::core::{
-    merge_states, run_abae_multi_progressive, run_abae_stratified, run_abae_with_ci, AbaeConfig,
-    Aggregate, BootstrapConfig, MultiAggResult, ProgressiveOptions, Snapshot, Stratification,
-    StratumStats,
+    combine_estimate, run_abae_multi_progressive, run_abae_stratified, run_abae_with_ci,
+    AbaeConfig, Aggregate, BootstrapConfig, MultiAggResult, ProgressiveOptions, Snapshot,
+    Stratification, StratumEstimate,
 };
 use abae::data::{FnOracle, Labeled, SingleGroupOracle, Table};
 use abae::query::{Engine, EngineOptions};
@@ -415,26 +417,66 @@ fn until_ci_width_stops_early_and_charges_only_spent_budget() {
     assert_eq!(capped.oracle_calls, full.oracle_calls);
 }
 
-/// Chunked ingest: folding labeled draws into per-stratum stats partition
-/// by partition — in any split — yields exactly the state of a single
-/// pass, because `StratumStats::merge` is a commutative monoid over the
-/// draw multiset.
+/// Every intermediate snapshot answers from the blocking run's draws so
+/// far: each stratum's prefix of the draw order (Stage 1 stratum by
+/// stratum, then Stage 2 stratum by stratum) through `from_draws`, then
+/// `combine_estimate` and `closed_form_ci`, bit for bit at every chunk size
+/// and for every aggregate.
 #[test]
-fn partitioned_ingest_matches_single_pass() {
-    let (_, labels, values) = population(500, 21);
-    let draws: Vec<(usize, Labeled)> = (0..500)
-        .map(|i| (i, Labeled { matches: labels[i], value: values[i] }))
+fn snapshots_answer_from_the_blocking_runs_draws_in_draw_order() {
+    let (scores, labels, values) = population(3000, 21);
+    let aggs = [Aggregate::Avg, Aggregate::Count, Aggregate::Sum];
+    let cfg = AbaeConfig {
+        budget: 900,
+        bootstrap: BootstrapConfig { trials: 20, alpha: 0.1 },
+        ..Default::default()
+    };
+    let strat = Stratification::by_proxy_quantile(&scores, cfg.strata);
+    let sizes = strat.sizes();
+    let mut rng = StdRng::seed_from_u64(22);
+    let run = run_two_stage(&strat, &oracle_for(&labels, &values), &cfg, aggs[0], &mut rng)
+        .expect("valid config");
+    let n1: Vec<usize> = run.pilot.iter().map(|e| e.draws).collect();
+    let stage2 = |s: usize| run.samples[s].len() - n1[s];
+    let order: Vec<usize> = (0..sizes.len())
+        .flat_map(|s| std::iter::repeat(s).take(n1[s]))
+        .chain((0..sizes.len()).flat_map(|s| std::iter::repeat(s).take(stage2(s))))
         .collect();
+    let bits = |ci: Option<abae::stats::bootstrap::ConfidenceInterval>| {
+        ci.map(|c| [c.lo.to_bits(), c.hi.to_bits(), c.confidence.to_bits()])
+    };
 
-    let single = vec![StratumStats::from_labeled(500, draws.iter().copied())];
-    for split in [1usize, 3, 7, 499] {
-        let mut merged = vec![StratumStats::empty(500)];
-        for part in draws.chunks(split) {
-            merged = merge_states(
-                merged,
-                vec![StratumStats::from_labeled(500, part.iter().copied())],
-            );
+    for chunk in CHUNKS {
+        let progressive = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
+        let mut snaps: Vec<Snapshot> = Vec::new();
+        run_abae_stratified(
+            &strat,
+            &oracle_for(&labels, &values),
+            &cfg,
+            &aggs,
+            Some(&progressive),
+            &mut StdRng::seed_from_u64(22),
+            |s| snaps.push(s.clone()),
+        )
+        .expect("valid config");
+        let (last, looks) = snaps.split_last().expect("a final snapshot");
+        assert!(last.done && !looks.is_empty(), "chunk {chunk}");
+        for snap in looks {
+            let spent = snap.budget_spent as usize;
+            let mut prefix = vec![0usize; sizes.len()];
+            for &s in &order[..spent] {
+                prefix[s] += 1;
+            }
+            let strata: Vec<StratumEstimate> = (0..sizes.len())
+                .map(|s| StratumEstimate::from_draws(sizes[s], &run.samples[s][..prefix[s]]))
+                .collect();
+            for (answer, &agg) in snap.answers.iter().zip(&aggs) {
+                let what = format!("chunk {chunk}, spent {spent}, {agg:?}");
+                let estimate = combine_estimate(agg, &strata);
+                assert_eq!(answer.estimate.to_bits(), estimate.to_bits(), "{what}");
+                let ci = closed_form_ci(agg, &strata, cfg.bootstrap.alpha);
+                assert_eq!(bits(answer.ci), bits(ci), "{what}");
+            }
         }
-        assert_eq!(merged, single, "split {split} must reproduce the single-pass state");
     }
 }
