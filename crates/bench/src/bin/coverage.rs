@@ -10,7 +10,8 @@
 //! * coverage of the exact answer with its Monte Carlo standard error,
 //!   counted per CI (a `GROUP BY` answer holds one CI per group);
 //! * mean oracle spend and the share of runs that stopped early;
-//! * mean CI width and wall time;
+//! * mean CI width, and wall time on stdout only, so that the artifact is
+//!   a function of the code alone;
 //! * for the stopped runs, the same counts beside a **fixed-budget
 //!   control**: the blocking statement at `ORACLE LIMIT <its spend>` on the
 //!   same session id. The control spends what the stopped run spent
@@ -238,16 +239,13 @@ fn main() {
         );
         rows.push(format!(
             "{{\"shape\":\"{}\",\"sql\":\"{}\",\"target\":{},\"cap\":{},\"all\":{},\
-             \"stopped_share\":{},\"wall_s\":{},\"ms_per_statement\":{},\
-             \"stopped\":{},\"control\":{}}}",
+             \"stopped_share\":{},\"stopped\":{},\"control\":{}}}",
             shape.name,
             shape.sql(true, shape.cap).replace('"', "\\\""),
             json_f64(shape.target),
             shape.cap,
             all.json(),
             json_f64(share),
-            json_f64(wall_s),
-            json_f64(1e3 * wall_s / sessions.max(1) as f64),
             stopped.json(),
             control.json(),
         ));

@@ -23,20 +23,23 @@
 //!
 //! A single-oracle query with per-group CIs has one executor,
 //! [`groupby_single_oracle_stratified`], over stored per-group
-//! stratifications: blocking, or anytime with a snapshot after every
-//! labeling chunk, on one chunked sampling core. [`check`] holds its
-//! checks in the order it runs them, for callers that stratify first.
+//! stratifications, blocking or anytime; [`check`] holds its checks in the
+//! order it runs them, for callers that stratify first. Both single-oracle
+//! entries run the crate's one two-stage schedule, which DESIGN.md
+//! describes with anytime mode under "Running tallies and anytime
+//! snapshots".
 
 use crate::allocation::optimal_allocation;
 use crate::config::{Aggregate, BootstrapConfig, ConfigError};
 use crate::estimator::{combine_estimate, StratumEstimate};
 use crate::normal_ci::{estimator_variance, normal_interval};
 use crate::pipeline::{self, ReplicateThreads, Replicates};
+use crate::schedule::{self, Sampler};
 use crate::strata::Stratification;
 use crate::two_stage::ProgressiveOptions;
 use abae_data::{GroupLabel, GroupOracle, Labeled, Oracle};
 use abae_optim::simplex::{minimize_on_simplex, SimplexOptions};
-use abae_sampling::budget::{chunk_sizes, floor_allocation};
+use abae_sampling::budget::floor_allocation;
 use abae_sampling::pool::IndexPool;
 use abae_sampling::wor::sample_without_replacement;
 use abae_stats::StreamingMoments;
@@ -303,13 +306,12 @@ fn solve_allocation(
 /// oracle, exactly as if the occurrences were labeled in separate calls.
 fn label_uncached<O: GroupOracle + ?Sized>(
     oracle: &O,
-    ids: &[usize],
+    ids: impl Iterator<Item = usize>,
     cache: &mut BTreeMap<usize, GroupLabel>,
     cfg: &GroupByConfig,
 ) {
     let mut seen = BTreeSet::new();
-    let misses: Vec<usize> =
-        ids.iter().copied().filter(|i| !cache.contains_key(i) && seen.insert(*i)).collect();
+    let misses: Vec<usize> = ids.filter(|i| !cache.contains_key(i) && seen.insert(*i)).collect();
     let labels = crate::pipeline::label_groups_all(oracle, &misses, &cfg.exec);
     for (idx, label) in misses.into_iter().zip(labels) {
         cache.insert(idx, label);
@@ -357,29 +359,25 @@ pub fn check(
     cfg.validate(groups)
 }
 
-/// The group checks of a single-oracle run over `groups` stratifications:
-/// the configuration, then the oracle's group count.
-fn check_groups<O: GroupOracle + ?Sized>(
-    groups: usize,
-    oracle: &O,
-    cfg: &GroupByConfig,
-) -> Result<(), GroupByError> {
-    cfg.validate(groups)?;
-    if oracle.group_count() != groups {
-        return Err(GroupByError::GroupMismatch { proxies: groups, oracles: oracle.group_count() });
+fn check_oracle<O: GroupOracle + ?Sized>(groups: usize, oracle: &O) -> Result<(), GroupByError> {
+    let oracles = oracle.group_count();
+    if oracles != groups {
+        return Err(GroupByError::GroupMismatch { proxies: groups, oracles });
     }
     Ok(())
 }
 
-/// Runs the group checks, then stratifies every group's proxy into
-/// `cfg.strata` quantile strata (`ABaeInit`), in group order: what the
-/// proxy-taking entry points do before they sample.
+/// Checks the configuration, then the oracle's group count, then
+/// stratifies every group's proxy into `cfg.strata` quantile strata
+/// (`ABaeInit`), in group order: what the proxy-taking entry points do
+/// before they sample.
 fn stratify_groups<O: GroupOracle + ?Sized>(
     proxies: &[&[f64]],
     oracle: &O,
     cfg: &GroupByConfig,
 ) -> Result<Vec<Arc<Stratification>>, GroupByError> {
-    check_groups(proxies.len(), oracle, cfg)?;
+    cfg.validate(proxies.len())?;
+    check_oracle(proxies.len(), oracle)?;
     Ok(proxies.iter().map(|p| Arc::new(Stratification::by_proxy_quantile(p, cfg.strata))).collect())
 }
 
@@ -394,7 +392,10 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<GroupEstimate>, GroupByError> {
     let stratifications = stratify_groups(proxies, oracle, cfg)?;
-    let run = single_oracle_sample(&stratifications, oracle, cfg, rng)?;
+    // No look and no bootstrap, so the bootstrap settings go unread.
+    let mut sampler = SingleOracle::new(&stratifications, oracle, cfg, BootstrapConfig::default())?;
+    schedule::run_stages(&mut sampler, usize::MAX, rng, |_, _, _| false);
+    let run = &sampler.run;
     let estimates = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
     Ok(estimates
         .into_iter()
@@ -413,10 +414,9 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 /// draw — straight into the bucket's cells, every group in one pass, and
 /// takes the same [`estimates_from_cells`] step as the point estimate, so
 /// it equals [`single_oracle_estimates`] over the resampled ids. A
-/// replicate reads one word per bucket draw, so the final bootstrap of an
-/// anytime run that spends its cap splits into blocks across cores like
-/// the scalar bootstrap's ([`pipeline::replicates`]); a blocking run's
-/// stays on the calling thread.
+/// replicate reads one word per bucket draw, so replicates split into
+/// blocks across `threads` like the scalar bootstrap's
+/// ([`pipeline::replicates`]).
 fn single_oracle_bootstrap_cis_on<R: Rng + ?Sized>(
     threads: ReplicateThreads,
     run: &SingleOracleRun,
@@ -578,31 +578,17 @@ pub fn groupby_single_oracle_progressive<O: GroupOracle + ?Sized, R: Rng + ?Size
 /// stratifications the caller already built, in group order.
 ///
 /// The sampling phase is [`groupby_single_oracle`]'s (same RNG stream,
-/// same oracle spend); the bootstrap runs afterwards on the cached labels
-/// for free. Because the single-oracle setting shares records across
-/// stratifications, the per-stratum draws are not independent the way
-/// Algorithm 2 assumes; the CI here resamples every `(stratification,
-/// stratum)` bucket with replacement and recomputes the full
-/// inverse-variance-weighted estimator per replicate, which treats the
-/// buckets as approximately independent. The approximation is good when
-/// strata are large relative to the overlap and is reported as a
-/// percentile interval of the *actual* estimator, so it always tracks the
-/// point estimate.
+/// same oracle spend); the bootstrap then resamples every `(stratification,
+/// stratum)` bucket's cached labels and recomputes the full
+/// inverse-variance-weighted estimator per replicate. That treats the
+/// buckets as independent, but the pilot's records are shared across
+/// stratifications, so the CIs are too narrow: `BENCH_coverage.json`
+/// measures 0.864–0.868 per CI at a nominal 0.95 (ROADMAP item 1).
 ///
-/// `anytime` picks the mode as in [`crate::two_stage::run_abae_stratified`]:
-/// `None` blocks, with no snapshots and the bootstrap on the calling
-/// thread; `Some(p)` labels in chunks with a [`GroupSnapshot`] after each,
-/// and a run that spends its cap ends bit for bit on the blocking answer.
-/// Intermediate snapshot CIs are closed-form and read no RNG: per group,
-/// the `AVG` delta-method variance of every stratification the point
-/// estimate blends, combined with the blend's own inverse-variance weights
-/// as if the stratifications were independent (as the bootstrap assumes
-/// when it resamples each bucket on its own). A group whose estimate takes
-/// the fallback path has no CI. With [`ProgressiveOptions::target_ci_width`]
-/// set, the run stops at the first chunk boundary — once the pilot stage
-/// is complete — where **every** group's snapshot CI is narrower than the
-/// target, charging only the budget consumed; a group without a CI keeps
-/// the run going.
+/// `anytime` picks the mode as in [`crate::two_stage::run_abae_stratified`];
+/// an anytime run stops once the pilot is complete and **every** group's
+/// closed-form CI is narrower than [`ProgressiveOptions::target_ci_width`]
+/// (DESIGN.md, "Running tallies and anytime snapshots").
 ///
 /// Stored stratifications answer bit for bit like a fresh sort of the
 /// same proxies and `K`.
@@ -623,140 +609,89 @@ pub fn groupby_single_oracle_stratified<O: GroupOracle + ?Sized, R: Rng + ?Sized
     mut on_snapshot: impl FnMut(&GroupSnapshot),
 ) -> Result<GroupByResult, GroupByError> {
     check(cfg, bootstrap, anytime, stratifications.len())?;
-    let (chunk, target, threads) = match anytime {
-        None => (usize::MAX, None, ReplicateThreads::Calling),
-        Some(p) => {
-            let chunk = p.chunk.unwrap_or(cfg.exec.batch_size).max(1);
-            (chunk, p.target_ci_width, ReplicateThreads::FreeCores)
-        }
-    };
-
-    let mut stopping: Option<GroupSnapshot> = None;
-    let chunked = {
-        let mut observe = |state: &SingleOracleRun, spent: u64, pilot_complete: bool| -> bool {
-            if anytime.is_none() {
-                return false;
-            }
-            let groups = single_oracle_closed_form_cis(state, bootstrap.alpha);
-            // Stop only once the pilot stage is complete: partial-pilot CIs
-            // can degenerate to zero width and would stop bogusly. Groups
-            // with no CI yet keep the run going.
-            let stop = pilot_complete
-                && target.is_some_and(|w| {
-                    groups.iter().all(|e| e.ci.is_some_and(|ci| ci.width() < w))
-                });
-            let snap = GroupSnapshot { groups, budget_spent: spent, done: stop };
-            on_snapshot(&snap);
-            if stop {
-                stopping = Some(snap);
-            }
-            stop
-        };
-        single_oracle_chunked(stratifications, oracle, cfg, chunk, rng, &mut observe)?
-    };
-
-    if chunked.stopped {
-        let snap = stopping.expect("a stopped run records its stopping snapshot");
-        return Ok(GroupByResult { groups: snap.groups, oracle_calls: chunked.oracle_calls });
-    }
-
-    // A complete run: bootstrap CIs from the caller's RNG at the same
-    // stream position in either mode.
-    let groups = single_oracle_bootstrap_cis_on(threads, &chunked.run, bootstrap, rng);
-    if anytime.is_some() {
-        on_snapshot(&GroupSnapshot {
-            groups: groups.clone(),
-            budget_spent: chunked.oracle_calls,
-            done: true,
-        });
-    }
-    Ok(GroupByResult { groups, oracle_calls: chunked.oracle_calls })
-}
-
-/// The sampling phase of [`groupby_single_oracle`]: pilot, allocation,
-/// Stage-2 draws — every oracle charge of the run. The one-chunk instance
-/// of [`single_oracle_chunked`] with an observer that never stops.
-fn single_oracle_sample<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    stratifications: &[Arc<Stratification>],
-    oracle: &O,
-    cfg: &GroupByConfig,
-    rng: &mut R,
-) -> Result<SingleOracleRun, GroupByError> {
-    Ok(single_oracle_chunked(stratifications, oracle, cfg, usize::MAX, rng, &mut |_, _, _| false)?
-        .run)
-}
-
-/// Outcome of the chunked single-oracle sampling core.
-struct ChunkedSingleOracle {
-    run: SingleOracleRun,
-    stopped: bool,
-    oracle_calls: u64,
-}
-
-/// The chunked single-oracle sampling core: pilot, allocation, Stage-2
-/// draws, with labeling performed in chunks of at most `chunk` records.
-///
-/// `observe(run_so_far, budget_spent, pilot_complete)` fires at every chunk
-/// boundary except the run's last; returning `true` stops the run at that
-/// boundary, leaving later draws unlabeled (and uncharged). The final
-/// pilot chunk's boundary is deferred until the Stage-2 work list is known
-/// so it is only observed when Stage 2 actually has work.
-///
-/// Chunking is invisible to the result: all Stage-2 draws depend only on
-/// the pilot *draws* (never on Stage-2 labels), so hoisting them before
-/// chunked labeling consumes the exact RNG stream of the interleaved
-/// blocking loop, and a completed run's buckets, cache, and oracle charges
-/// are bit-identical to the one-chunk instance.
-fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
-    stratifications: &[Arc<Stratification>],
-    oracle: &O,
-    cfg: &GroupByConfig,
-    chunk: usize,
-    rng: &mut R,
-    observe: &mut dyn FnMut(&SingleOracleRun, u64, bool) -> bool,
-) -> Result<ChunkedSingleOracle, GroupByError> {
-    let g = stratifications.len();
-    check_groups(g, oracle, cfg)?;
-    let n = stratifications[0].total();
-    let k = cfg.strata;
-    assert!(
-        stratifications.iter().all(|s| s.len() == k && s.total() == n),
-        "every group's stratification must have {k} strata over {n} records"
-    );
-
-    // Label cache: one oracle charge per distinct record. Draw order comes
-    // from the RNG on this thread; labeling runs through the batch
-    // pipeline, cache misses only.
     let calls_before = oracle.calls();
-    let mut run = SingleOracleRun {
-        buckets: vec![vec![Vec::new(); k]; g],
-        cache: BTreeMap::new(),
-        stratifications: stratifications.to_vec(),
-    };
-    let mut stopped = false;
+    let sampler = SingleOracle::new(stratifications, oracle, cfg, *bootstrap)?;
+    let batch = cfg.exec.batch_size;
+    let groups = schedule::run(sampler, anytime, batch, rng, |groups, spent, done| {
+        on_snapshot(&GroupSnapshot { groups, budget_spent: spent, done })
+    });
+    Ok(GroupByResult { groups, oracle_calls: oracle.calls() - calls_before })
+}
 
-    // Stage 1: one uniform pilot shared by every stratification, labeled
-    // and bucketed per chunk.
-    let n1_total = single_oracle_pilot(cfg.budget, cfg.stage1_fraction, n);
-    let pilot = sample_without_replacement(n, n1_total, rng);
-    let pilot_chunks = chunk_sizes(pilot.len(), chunk);
-    let mut offset = 0;
-    for (ci, &sz) in pilot_chunks.iter().enumerate() {
-        let ids = &pilot[offset..offset + sz];
-        label_uncached(oracle, ids, &mut run.cache, cfg);
-        for &idx in ids {
-            for (l, strat) in stratifications.iter().enumerate() {
-                run.buckets[l][strat.locate(idx).0].push(idx);
-            }
-        }
-        offset += sz;
-        if ci + 1 < pilot_chunks.len() && observe(&run, oracle.calls() - calls_before, false) {
-            stopped = true;
-            break;
-        }
+/// Single-oracle ABae-GroupBy (§4.5) as the schedule's sampler: one
+/// uniform pilot shared by every group's stratification, then each
+/// stratification's Stage 2 by the minimax allocation. A record drawn
+/// under two stratifications charges the oracle once: labeling goes
+/// through the batch pipeline, cache misses only.
+struct SingleOracle<'a, O: ?Sized> {
+    oracle: &'a O,
+    cfg: &'a GroupByConfig,
+    bootstrap: BootstrapConfig,
+    run: SingleOracleRun,
+    /// The pilot's size.
+    n1: usize,
+    calls_before: u64,
+}
+
+impl<'a, O: GroupOracle + ?Sized> SingleOracle<'a, O> {
+    fn new(
+        stratifications: &[Arc<Stratification>],
+        oracle: &'a O,
+        cfg: &'a GroupByConfig,
+        bootstrap: BootstrapConfig,
+    ) -> Result<Self, GroupByError> {
+        let (g, k) = (stratifications.len(), cfg.strata);
+        check_oracle(g, oracle)?;
+        let n = stratifications[0].total();
+        assert!(
+            stratifications.iter().all(|s| s.len() == k && s.total() == n),
+            "every group's stratification must have {k} strata over {n} records"
+        );
+        Ok(SingleOracle {
+            oracle,
+            cfg,
+            bootstrap,
+            run: SingleOracleRun {
+                buckets: vec![vec![Vec::new(); k]; g],
+                cache: BTreeMap::new(),
+                stratifications: stratifications.to_vec(),
+            },
+            n1: single_oracle_pilot(cfg.budget, cfg.stage1_fraction, n),
+            calls_before: oracle.calls(),
+        })
+    }
+}
+
+impl<O: GroupOracle + ?Sized> Sampler for SingleOracle<'_, O> {
+    /// A record id and the `(stratification, stratum)` bucket it was drawn
+    /// for, or `None` for a pilot draw, which every stratification files.
+    type Draw = (usize, Option<(usize, usize)>);
+    type Rows = Vec<GroupEstimateWithCi>;
+
+    fn draw_pilot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Self::Draw> {
+        let n = self.run.stratifications[0].total();
+        sample_without_replacement(n, self.n1, rng).into_iter().map(|id| (id, None)).collect()
     }
 
-    if !stopped {
+    fn label(&mut self, chunk: &[Self::Draw]) -> u64 {
+        label_uncached(self.oracle, chunk.iter().map(|&(id, _)| id), &mut self.run.cache, self.cfg);
+        let run = &mut self.run;
+        for &(id, bucket) in chunk {
+            match bucket {
+                Some((l, kk)) => run.buckets[l][kk].push(id),
+                None => {
+                    for (l, strat) in run.stratifications.iter().enumerate() {
+                        run.buckets[l][strat.locate(id).0].push(id);
+                    }
+                }
+            }
+        }
+        self.oracle.calls() - self.calls_before
+    }
+
+    fn plan<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Self::Draw> {
+        let run = &self.run;
+        let g = run.stratifications.len();
         // Pilot estimates and allocations.
         let grid = bucket_cells(&run.buckets, &run.cache, &run.stratifications);
         let mut t_hats: Vec<Vec<f64>> = Vec::with_capacity(g);
@@ -774,50 +709,35 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
             t_hats.push(t);
         }
 
-        // Allocation across stratifications; hoist every Stage-2 draw.
-        let n2 = cfg.budget.saturating_sub(n1_total);
-        let lambda = solve_allocation(&err_unit, n2.max(1), cfg.allocation);
-        let mut flat2: Vec<(usize, usize, usize)> = Vec::new();
+        // Allocation across stratifications, then every Stage-2 draw.
+        let n2 = self.cfg.budget.saturating_sub(self.n1);
+        let lambda = solve_allocation(&err_unit, n2.max(1), self.cfg.allocation);
+        let mut draws = Vec::new();
         for l in 0..g {
             let budget_l = (lambda[l] * n2 as f64).floor() as usize;
             let per_stratum = floor_allocation(&t_hats[l], budget_l);
             for (kk, &want) in per_stratum.iter().enumerate() {
-                // Draw fresh records: exclude ids already sampled in this
-                // bucket so the two stages stay a without-replacement
-                // sample. (A record drawn under another stratification can
-                // recur here; the label cache absorbs the duplicate.)
+                // Records new to this bucket, so that its two stages stay a
+                // without-replacement sample. A record drawn under another
+                // stratification can recur; the label cache absorbs it.
                 let fresh = draw_fresh(&run.stratifications[l], kk, &run.buckets[l][kk], want, rng);
-                flat2.extend(fresh.into_iter().map(|id| (l, kk, id)));
+                draws.extend(fresh.into_iter().map(|id| (id, Some((l, kk)))));
             }
         }
-
-        // The deferred pilot-stage boundary: only a snapshot boundary when
-        // Stage 2 has work, otherwise the run ends here.
-        if !flat2.is_empty() && observe(&run, oracle.calls() - calls_before, true) {
-            stopped = true;
-        }
-        if !stopped {
-            let stage2_chunks = chunk_sizes(flat2.len(), chunk);
-            let mut offset = 0;
-            for (ci, &sz) in stage2_chunks.iter().enumerate() {
-                let slice = &flat2[offset..offset + sz];
-                let ids: Vec<usize> = slice.iter().map(|&(_, _, id)| id).collect();
-                label_uncached(oracle, &ids, &mut run.cache, cfg);
-                for &(l, kk, id) in slice {
-                    run.buckets[l][kk].push(id);
-                }
-                offset += sz;
-                if ci + 1 < stage2_chunks.len()
-                    && observe(&run, oracle.calls() - calls_before, true)
-                {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
+        draws
     }
 
-    Ok(ChunkedSingleOracle { run, stopped, oracle_calls: oracle.calls() - calls_before })
+    fn look(&self, target: Option<f64>) -> (Vec<GroupEstimateWithCi>, bool) {
+        let groups = single_oracle_closed_form_cis(&self.run, self.bootstrap.alpha);
+        // A group with no CI yet keeps the run going.
+        let meets = target
+            .is_some_and(|w| groups.iter().all(|e| e.ci.is_some_and(|ci| ci.width() < w)));
+        (groups, meets)
+    }
+
+    fn finish<R: Rng + ?Sized>(self, threads: ReplicateThreads, rng: &mut R) -> Self::Rows {
+        single_oracle_bootstrap_cis_on(threads, &self.run, &self.bootstrap, rng)
+    }
 }
 
 /// Draws `want` fresh members of stratum `kk` — members not among
@@ -1378,6 +1298,21 @@ mod ci_tests {
             .map(|r| r.groups)
     }
 
+    /// The sampled state of a blocking run over the proxies on `seed`.
+    fn sampled_run<O: GroupOracle + ?Sized>(
+        proxies: &[&[f64]],
+        oracle: &O,
+        cfg: &GroupByConfig,
+        seed: u64,
+    ) -> SingleOracleRun {
+        let strata = stratify_groups(proxies, oracle, cfg).unwrap();
+        let mut sampler =
+            SingleOracle::new(&strata, oracle, cfg, BootstrapConfig::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        schedule::run_stages(&mut sampler, usize::MAX, &mut rng, |_, _, _| false);
+        sampler.run
+    }
+
     #[test]
     fn single_oracle_with_ci_matches_plain_variant_and_brackets() {
         let t = two_group_table(30_000, 5);
@@ -1442,11 +1377,17 @@ mod ci_tests {
         let bs = BootstrapConfig { trials: 20, alpha: 0.05 };
         let mut rng = StdRng::seed_from_u64(11);
         let blocking = blocking_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
+        // Draws per stage: the pilot, and the Stage-2 draws the blocking
+        // run's buckets hold beyond it (every pilot draw sits in G buckets).
+        let n1 = single_oracle_pilot(cfg.budget, cfg.stage1_fraction, t.len());
+        let buckets = sampled_run(&proxies, &oracle, &cfg, 11).buckets;
+        let n2 = buckets.iter().flatten().map(Vec::len).sum::<usize>() - proxies.len() * n1;
         for chunk in [1usize, 50, 4096] {
             let before = oracle.calls();
             let mut rng = StdRng::seed_from_u64(11);
             let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
             let mut snaps: Vec<GroupSnapshot> = Vec::new();
+            let mut charged: Vec<u64> = Vec::new();
             let result = groupby_single_oracle_progressive(
                 &proxies,
                 &oracle,
@@ -1454,7 +1395,10 @@ mod ci_tests {
                 &bs,
                 &opts,
                 &mut rng,
-                |s| snaps.push(s.clone()),
+                |s| {
+                    charged.push(oracle.calls() - before);
+                    snaps.push(s.clone());
+                },
             )
             .unwrap();
             assert_eq!(result.groups, blocking, "chunk {chunk}");
@@ -1465,6 +1409,14 @@ mod ci_tests {
             assert_eq!(last.budget_spent, result.oracle_calls);
             assert!(snaps.iter().rev().skip(1).all(|s| !s.done));
             assert!(snaps.windows(2).all(|w| w[0].budget_spent <= w[1].budget_spent));
+            // A look after every chunk of either stage but the last, the
+            // pilot's last standing in for the deferred stage boundary; each
+            // reports what the oracle had charged when it was taken.
+            let intermediate = &snaps[..snaps.len() - 1];
+            let looks = n1.div_ceil(chunk) - 1 + n2.div_ceil(chunk);
+            assert_eq!(intermediate.len(), looks, "chunk {chunk}: n1 {n1}, n2 {n2}");
+            let spends: Vec<u64> = intermediate.iter().map(|s| s.budget_spent).collect();
+            assert_eq!(spends, charged[..looks], "chunk {chunk}");
         }
     }
 
@@ -1909,10 +1861,7 @@ mod ci_tests {
         let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
         for budget in [60, 1500] {
             let cfg = GroupByConfig { budget, ..Default::default() };
-            let strata = stratify_groups(&proxies, &oracle, &cfg).unwrap();
-            let run =
-                single_oracle_sample(&strata, &oracle, &cfg, &mut StdRng::seed_from_u64(8))
-                    .unwrap();
+            let run = sampled_run(&proxies, &oracle, &cfg, 8);
             let kernel = GroupReplicates::new(&run);
             let draws = kernel.draws;
             assert_eq!(draws * 1000 < 1 << 17, budget == 60, "{draws} draws");
@@ -2057,11 +2006,12 @@ mod ci_tests {
         let strata = stratify_groups(&proxies, &oracle, cfg).unwrap();
         let chunk = 64;
         let mut want = Vec::new();
-        single_oracle_chunked(&strata, &oracle, cfg, chunk, &mut StdRng::seed_from_u64(seed), &mut |state, spent, _| {
-            want.push(reference(state, spent));
+        let mut sampler = SingleOracle::new(&strata, &oracle, cfg, *bootstrap).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        schedule::run_stages(&mut sampler, chunk, &mut rng, |s, spent, _| {
+            want.push(reference(&s.run, spent));
             false
-        })
-        .unwrap();
+        });
         let mut snaps = Vec::new();
         let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
         groupby_single_oracle_stratified(
@@ -2167,9 +2117,7 @@ mod ci_tests {
         let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
         let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
         let cfg = GroupByConfig { budget: 3000, ..Default::default() };
-        let strata = stratify_groups(&proxies, &oracle, &cfg).unwrap();
-        let run =
-            single_oracle_sample(&strata, &oracle, &cfg, &mut StdRng::seed_from_u64(8)).unwrap();
+        let run = sampled_run(&proxies, &oracle, &cfg, 8);
         let bootstrap = BootstrapConfig { trials: 64, alpha: 0.05 };
         let mut ours = StdRng::seed_from_u64(10);
         let mut theirs = ours.clone();

@@ -21,7 +21,8 @@
 //!   running per-stratum tally every sampler folds its labels into, and
 //!   the combined estimator `Σ p̂_k μ̂_k / Σ p̂_k` (Algorithm 1 lines 9–20).
 //! * [`two_stage`] — the two-stage sampling algorithm (`ABaeSample`),
-//!   blocking and anytime (progressive snapshots with early stop).
+//!   blocking and anytime (progressive snapshots with early stop), on the
+//!   crate-private `schedule` that single-oracle [`groupby`] shares.
 //! * [`pipeline`] — batch-parallel oracle labeling with deterministic
 //!   ordering; every algorithm labels its draws through it.
 //! * [`batcher`] — cross-session coalescing of labeling requests into
@@ -55,6 +56,7 @@ pub mod normal_ci;
 pub mod pipeline;
 pub mod proxy_combine;
 pub mod proxy_select;
+mod schedule;
 pub mod strata;
 pub mod two_stage;
 pub mod uniform;

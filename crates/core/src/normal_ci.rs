@@ -4,12 +4,9 @@
 //! notes it costs as much CPU as ~2,500 oracle calls (§3.1). For very tight
 //! latency budgets a closed-form interval is useful; this module derives
 //! one with the delta method and compares against the bootstrap in the
-//! `ablation_ci` bench. Every intermediate anytime snapshot uses it: a
-//! scalar snapshot's CIs are [`closed_form_ci`] over the per-stratum
-//! estimates of the draws so far, and a GROUP BY snapshot blends this `AVG`
-//! variance across each group's stratifications (`crate::groupby`). A
-//! snapshot then costs O(K) once its strata are folded, where a bootstrap
-//! costs O(draws × trials).
+//! `ablation_ci` bench. Every intermediate anytime snapshot uses it, scalar
+//! or GROUP BY (DESIGN.md, "Running tallies and anytime snapshots"), so a
+//! snapshot costs O(K) where a bootstrap costs O(draws × trials).
 //!
 //! For `AVG`, the estimator is the ratio `μ̂ = Σ_k s_k p̂_k μ̂_k / Σ_k s_k
 //! p̂_k`. First-order propagation through `(p̂_k, μ̂_k)` gives

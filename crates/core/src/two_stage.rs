@@ -9,40 +9,21 @@
 //! [`SampleReuse::Disabled`] — costs substantial accuracy).
 //!
 //! One executor, [`run_abae_stratified`], runs Algorithm 2 over a stored
-//! stratification in either mode, on one chunked core. All randomness
-//! (which records to draw) stays on the caller's RNG and is drawn before
-//! each stage's labeling, so the draw order is fixed up front. Labeling
-//! proceeds in budget chunks, and each label folds into its stratum's
-//! running tally as it arrives, in that draw order: the tallies after any
-//! prefix of the draws are the same for every chunk size. In anytime mode
-//! a [`Snapshot`] — a statistically valid estimate of the same query — is
-//! emitted after every chunk; blocking mode is simply the one-chunk
-//! instance with no snapshots. The entry points that take scores
-//! ([`run_abae_with_ci`], [`run_abae_multi_progressive`]) check, stratify
-//! once and delegate to it. An intermediate snapshot's CIs are
-//! closed-form ([`closed_form_ci`] over the tallies' estimates), so a
-//! snapshot reads no RNG and costs O(K). A run that spends its cap ends
-//! with Algorithm 2's bootstrap on the caller's stream, so its final
-//! snapshot is bit-identical to a blocking run at any thread count and
-//! any chunk size.
-//!
-//! §3.1 prices a 1,000-trial bootstrap at about 2,500 oracle calls on the
-//! paper's T4. Bootstrapping every snapshot would pay that at every chunk
-//! boundary, over every draw so far: 57 of 61 ms of a typical `UNTIL`
-//! statement of the repository benchmark, for its 14 snapshots. With
-//! closed-form snapshots a progressive run pays for at most one
-//! bootstrap, when it spends its cap.
+//! stratification, blocking or anytime; [`run_two_stage`] is Algorithm 1
+//! alone. Both run the crate's one two-stage schedule, which DESIGN.md
+//! describes with anytime mode under "Running tallies and anytime
+//! snapshots". The entry points that take scores ([`run_abae_with_ci`],
+//! [`run_abae_multi_progressive`]) check, stratify once and delegate.
 
 use crate::bootstrap::bootstrap_cis_on;
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
 use crate::estimator::{combine_estimate, StratumEstimate, Tally};
 use crate::normal_ci::closed_form_ci;
 use crate::pipeline::{self, ReplicateThreads};
+use crate::schedule::{self, Sampler};
 use crate::strata::Stratification;
 use abae_data::{Labeled, Oracle};
-use abae_sampling::budget::{
-    chunk_sizes, floor_allocation, largest_remainder_allocation, stage_split,
-};
+use abae_sampling::budget::{floor_allocation, largest_remainder_allocation, stage_split};
 use abae_sampling::pool::IndexPool;
 use abae_stats::bootstrap::ConfidenceInterval;
 use rand::Rng;
@@ -152,174 +133,141 @@ impl ProgressiveOptions {
     }
 }
 
-/// Output of the chunked sampling core shared by every entry point.
-struct ChunkedRun {
-    /// Pilot estimates (empty when the run stopped during Stage 1).
-    pilot: Vec<StratumEstimate>,
-    /// Estimated optimal allocation (empty when stopped during Stage 1).
-    t_hat: Vec<f64>,
-    /// Per-stratum estimates of `samples` (read only when the run
-    /// completes).
-    strata: Vec<StratumEstimate>,
-    /// Per-stratum labeled draws in draw order, reuse-adjusted — exactly
-    /// what the blocking estimator and bootstrap consume.
+/// Algorithm 1 as the schedule's sampler. Each stage draws stratum by
+/// stratum, and each label folds into its stratum's tally in draw order.
+struct TwoStage<'a, O: ?Sized> {
+    strat: &'a Stratification,
+    oracle: &'a O,
+    config: &'a AbaeConfig,
+    /// The aggregates a look or the final bootstrap answers.
+    aggs: &'a [Aggregate],
+    /// Each stratum's without-replacement draw, which Stage 2 continues.
+    pools: Vec<IndexPool>,
+    /// Per-stratum labels that the final estimates keep, in draw order.
     samples: Vec<Vec<Labeled>>,
-    /// Labels actually consumed (≤ the configured budget on early stop).
-    budget_spent: u64,
-    /// Whether the observer stopped the run before the budget was spent.
-    stopped: bool,
-    /// Oracle invocations charged (cache hits excluded by caching oracles).
-    oracle_calls: u64,
+    /// Each stratum's running tally of its `samples`.
+    tallies: Vec<Tally>,
+    /// The pilot estimates and the allocation `plan` derived from them.
+    pilot: Vec<StratumEstimate>,
+    t_hat: Vec<f64>,
+    /// Stage-1 draws, Stage-2 draws to allocate, and labels consumed so far.
+    n1: u64,
+    n2: usize,
+    spent: u64,
 }
 
-/// Labels one chunk of `(stratum, record)` work items and pushes each
-/// label, in draw order, onto its stratum's draws in `out` and into its
-/// stratum's tally.
-fn label_chunk<O: Oracle + ?Sized>(
-    oracle: &O,
-    config: &AbaeConfig,
-    items: &[(usize, usize)],
-    out: &mut [Vec<Labeled>],
-    tallies: &mut [Tally],
-) {
-    let ids: Vec<usize> = items.iter().map(|&(_, id)| id).collect();
-    let labels = pipeline::label_all(oracle, &ids, &config.exec);
-    for (&(s, _), &label) in items.iter().zip(&labels) {
-        out[s].push(label);
-        tallies[s].push(label);
-    }
-}
-
-/// Each stratum's estimates from its tally.
-fn estimates(tallies: &[Tally], sizes: &[usize]) -> Vec<StratumEstimate> {
-    tallies.iter().zip(sizes).map(|(t, &n)| t.estimate(n)).collect()
-}
-
-/// The chunked two-stage core. All RNG consumption (which records to draw)
-/// happens here, on the caller's thread, in a fixed order: Stage-1 draws
-/// per stratum, then Stage-2 draws per stratum — identical to the blocking
-/// interleaved order because labeling never touches the RNG. Labeling
-/// proceeds in `chunk`-sized pieces; after every chunk *except the last of
-/// a run* the observer sees each stratum's estimates from its draws so
-/// far, the budget spent, and whether the pilot stage is complete, and may
-/// stop the run by returning `true`. With `chunk == usize::MAX` and an
-/// always-`false` observer this is exactly the blocking executor.
-fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
-    stratification: &Stratification,
-    oracle: &O,
-    config: &AbaeConfig,
-    chunk: usize,
-    rng: &mut R,
-    observe: &mut dyn FnMut(&[StratumEstimate], u64, bool) -> bool,
-) -> ChunkedRun {
-    let k = stratification.len();
-    let split = stage_split(config.budget, config.stage1_fraction, k);
-    let calls_before = oracle.calls();
-
-    // Stage-1 draws, hoisted ahead of labeling: N1 per stratum, in stratum
-    // order — the same RNG stream as drawing and labeling interleaved.
-    let sizes: Vec<usize> = (0..k).map(|s| stratification.stratum(s).len()).collect();
-    let mut pools: Vec<IndexPool> = Vec::with_capacity(k);
-    let mut flat1: Vec<(usize, usize)> = Vec::new();
-    for s in 0..k {
-        let records = stratification.stratum(s);
-        let mut pool = IndexPool::new(records.len());
-        flat1.extend(pool.draw(split.n1_per_stratum, rng).iter().map(|&l| (s, records[l])));
-        pools.push(pool);
-    }
-
-    let mut tallies = vec![Tally::default(); k];
-    let mut stage1: Vec<Vec<Labeled>> = vec![Vec::new(); k];
-    let mut spent = 0u64;
-    let mut stopped = false;
-
-    // Stage-1 labeling in chunks. The final Stage-1 chunk is not a
-    // snapshot boundary by itself — whether it is the run's last chunk
-    // depends on whether Stage 2 gets any allocation, so its observer call
-    // is deferred until that is known.
-    let chunks1 = chunk_sizes(flat1.len(), chunk);
-    let mut start = 0;
-    for (i, &csize) in chunks1.iter().enumerate() {
-        label_chunk(oracle, config, &flat1[start..start + csize], &mut stage1, &mut tallies);
-        start += csize;
-        spent += csize as u64;
-        if i + 1 < chunks1.len() && observe(&estimates(&tallies, &sizes), spent, false) {
-            stopped = true;
-            break;
+impl<'a, O: Oracle + ?Sized> TwoStage<'a, O> {
+    fn new(
+        strat: &'a Stratification,
+        oracle: &'a O,
+        config: &'a AbaeConfig,
+        aggs: &'a [Aggregate],
+    ) -> Self {
+        let k = strat.len();
+        TwoStage {
+            strat,
+            oracle,
+            config,
+            aggs,
+            pools: Vec::with_capacity(k),
+            samples: vec![Vec::new(); k],
+            tallies: vec![Tally::default(); k],
+            pilot: Vec::new(),
+            t_hat: Vec::new(),
+            n1: 0,
+            n2: 0,
+            spent: 0,
         }
     }
 
-    let mut pilot: Vec<StratumEstimate> = Vec::new();
-    let mut t_hat: Vec<f64> = Vec::new();
-    let mut stage2: Vec<Vec<Labeled>> = vec![Vec::new(); k];
-    if !stopped {
-        pilot = estimates(&tallies, &sizes);
+    /// Each stratum's estimates from its tally.
+    fn estimates(&self) -> Vec<StratumEstimate> {
+        self.tallies.iter().zip(self.strat.strata()).map(|(t, s)| t.estimate(s.len())).collect()
+    }
+}
 
+impl<O: Oracle + ?Sized> Sampler for TwoStage<'_, O> {
+    /// A stratum and one of its records.
+    type Draw = (usize, usize);
+    type Rows = Vec<AggAnswer>;
+
+    fn draw_pilot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<(usize, usize)> {
+        let split = stage_split(self.config.budget, self.config.stage1_fraction, self.strat.len());
+        self.n2 = split.n2_total;
+        let mut draws = Vec::new();
+        for (s, records) in self.strat.strata().iter().enumerate() {
+            let mut pool = IndexPool::new(records.len());
+            draws.extend(pool.draw(split.n1_per_stratum, rng).iter().map(|&l| (s, records[l])));
+            self.pools.push(pool);
+        }
+        self.n1 = draws.len() as u64;
+        draws
+    }
+
+    fn label(&mut self, chunk: &[(usize, usize)]) -> u64 {
+        let ids: Vec<usize> = chunk.iter().map(|&(_, id)| id).collect();
+        let labels = pipeline::label_all(self.oracle, &ids, &self.config.exec);
+        for (&(s, _), &label) in chunk.iter().zip(&labels) {
+            self.samples[s].push(label);
+            self.tallies[s].push(label);
+        }
+        self.spent += chunk.len() as u64;
+        self.spent
+    }
+
+    fn plan<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<(usize, usize)> {
+        self.pilot = self.estimates();
         // Allocation from pilot estimates: T̂_k ∝ √p̂_k σ̂_k.
-        let weights: Vec<f64> = pilot.iter().map(|e| e.p_hat.sqrt() * e.sigma_hat).collect();
-        t_hat = crate::allocation::optimal_allocation(
-            &pilot.iter().map(|e| e.p_hat).collect::<Vec<_>>(),
-            &pilot.iter().map(|e| e.sigma_hat).collect::<Vec<_>>(),
+        let weights: Vec<f64> = self.pilot.iter().map(|e| e.p_hat.sqrt() * e.sigma_hat).collect();
+        self.t_hat = crate::allocation::optimal_allocation(
+            &self.pilot.iter().map(|e| e.p_hat).collect::<Vec<_>>(),
+            &self.pilot.iter().map(|e| e.sigma_hat).collect::<Vec<_>>(),
         );
-        let stage2_alloc = match config.rounding {
-            Rounding::Floor => floor_allocation(&weights, split.n2_total),
-            Rounding::LargestRemainder => largest_remainder_allocation(&weights, split.n2_total),
+        let alloc = match self.config.rounding {
+            Rounding::Floor => floor_allocation(&weights, self.n2),
+            Rounding::LargestRemainder => largest_remainder_allocation(&weights, self.n2),
         };
-
-        // Stage-2 draws, hoisted: extend each stratum's without-replacement
-        // draw, in stratum order — again the blocking RNG stream.
-        let mut flat2: Vec<(usize, usize)> = Vec::new();
-        for s in 0..k {
-            let records = stratification.stratum(s);
-            flat2.extend(pools[s].draw(stage2_alloc[s], rng).iter().map(|&l| (s, records[l])));
+        if self.config.reuse == SampleReuse::Disabled {
+            // The final estimates discard the pilot's draws.
+            self.samples.iter_mut().for_each(Vec::clear);
+            self.tallies.fill(Tally::default());
         }
-
-        // The deferred Stage-1 boundary is a snapshot only when Stage 2 has
-        // work left (otherwise it is the run's final chunk).
-        if !flat2.is_empty() && observe(&pilot, spent, true) {
-            stopped = true;
+        let mut draws = Vec::new();
+        for (s, (pool, records)) in self.pools.iter_mut().zip(self.strat.strata()).enumerate() {
+            draws.extend(pool.draw(alloc[s], rng).iter().map(|&l| (s, records[l])));
         }
-        if !stopped {
-            if config.reuse == SampleReuse::Disabled {
-                // Final estimates discard the pilot, so the tallies reset
-                // at the stage boundary too.
-                tallies = vec![Tally::default(); k];
-            }
-            let chunks2 = chunk_sizes(flat2.len(), chunk);
-            let mut start = 0;
-            for (i, &csize) in chunks2.iter().enumerate() {
-                let items = &flat2[start..start + csize];
-                label_chunk(oracle, config, items, &mut stage2, &mut tallies);
-                start += csize;
-                spent += csize as u64;
-                if i + 1 < chunks2.len() && observe(&estimates(&tallies, &sizes), spent, true) {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
+        draws
     }
 
-    let samples: Vec<Vec<Labeled>> = match config.reuse {
-        SampleReuse::Enabled => stage1
-            .into_iter()
-            .zip(stage2)
-            .map(|(mut a, b)| {
-                a.extend(b);
-                a
-            })
-            .collect(),
-        SampleReuse::Disabled => stage2,
-    };
+    fn look(&self, target: Option<f64>) -> (Vec<AggAnswer>, bool) {
+        // The stage-boundary look (every pilot draw labeled, no Stage-2
+        // draw yet) answers from the pilot, which the tallies no longer
+        // hold under `SampleReuse::Disabled`.
+        let strata = if self.spent == self.n1 { self.pilot.clone() } else { self.estimates() };
+        let alpha = self.config.bootstrap.alpha;
+        let answer = |&agg: &Aggregate| AggAnswer {
+            agg,
+            estimate: combine_estimate(agg, &strata),
+            ci: closed_form_ci(agg, &strata, alpha),
+        };
+        let answers: Vec<AggAnswer> = self.aggs.iter().map(answer).collect();
+        // Never met while the draws so far hold no positive: an `AVG` then
+        // has no CI, and a `COUNT` or `SUM` a degenerate [0, 0] at any spend.
+        let positives = strata.iter().any(|s| s.positives > 0);
+        let primary = answers.first().and_then(|a| a.ci);
+        let meets = positives && target.zip(primary).is_some_and(|(w, ci)| ci.width() < w);
+        (answers, meets)
+    }
 
-    ChunkedRun {
-        pilot,
-        t_hat,
-        strata: estimates(&tallies, &sizes),
-        samples,
-        budget_spent: spent,
-        stopped,
-        oracle_calls: oracle.calls() - calls_before,
+    fn finish<R: Rng + ?Sized>(self, threads: ReplicateThreads, rng: &mut R) -> Vec<AggAnswer> {
+        let (strata, sizes) = (self.estimates(), self.strat.sizes());
+        let bootstrap = &self.config.bootstrap;
+        let cis = bootstrap_cis_on(threads, &self.samples, &sizes, self.aggs, bootstrap, rng);
+        self.aggs
+            .iter()
+            .zip(cis)
+            .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &strata), ci })
+            .collect()
     }
 }
 
@@ -327,8 +275,8 @@ fn two_stage_chunked<O: Oracle + ?Sized, R: Rng + ?Sized>(
 ///
 /// `stratification` comes from [`Stratification::by_proxy_quantile`]
 /// (`ABaeInit`); `oracle` is charged once per drawn record; `agg` selects
-/// the aggregate; `rng` drives all randomness. This is the one-chunk
-/// instance of the chunked core — no snapshots, full budget.
+/// the aggregate; `rng` drives all randomness. Each stage is labeled in
+/// one chunk, with no snapshots.
 ///
 /// # Errors
 /// Returns the configuration's validation error, if any.
@@ -340,15 +288,17 @@ pub fn run_two_stage<O: Oracle, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<TwoStageRun, ConfigError> {
     config.validate()?;
-    let run =
-        two_stage_chunked(stratification, oracle, config, usize::MAX, rng, &mut |_, _, _| false);
+    let calls_before = oracle.calls();
+    let mut sampler = TwoStage::new(stratification, oracle, config, &[]);
+    schedule::run_stages(&mut sampler, usize::MAX, rng, |_, _, _| false);
+    let (strata, oracle_calls) = (sampler.estimates(), oracle.calls() - calls_before);
     Ok(TwoStageRun {
-        estimate: combine_estimate(agg, &run.strata),
-        strata: run.strata,
-        pilot: run.pilot,
-        t_hat: run.t_hat,
-        samples: run.samples,
-        oracle_calls: run.oracle_calls,
+        estimate: combine_estimate(agg, &strata),
+        strata,
+        pilot: sampler.pilot,
+        t_hat: sampler.t_hat,
+        samples: sampler.samples,
+        oracle_calls,
     })
 }
 
@@ -402,25 +352,6 @@ pub fn run_abae_with_ci<O: Oracle, R: Rng + ?Sized>(
     Ok(AbaeResult { estimate: answer.estimate, ci: answer.ci, oracle_calls: multi.oracle_calls })
 }
 
-/// Builds one intermediate snapshot from each stratum's estimates so far:
-/// every aggregate's point estimate and its closed-form CI at `alpha`.
-fn snapshot_from_estimates(
-    strata: &[StratumEstimate],
-    aggs: &[Aggregate],
-    alpha: f64,
-    budget_spent: u64,
-) -> Snapshot {
-    let answers = aggs
-        .iter()
-        .map(|&agg| AggAnswer {
-            agg,
-            estimate: combine_estimate(agg, strata),
-            ci: closed_form_ci(agg, strata, alpha),
-        })
-        .collect();
-    Snapshot { answers, budget_spent, done: false }
-}
-
 /// The anytime run over the scores: validates `config` and `progressive`,
 /// stratifies the scores (`ABaeInit`) and runs [`run_abae_stratified`] in
 /// anytime mode.
@@ -454,25 +385,14 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
 /// on each resample: `SELECT COUNT(*), SUM(v), AVG(v)` spends one oracle
 /// budget. An empty `aggs` still samples and returns no answers.
 ///
-/// `anytime` picks the mode:
-///
-/// * `None` — blocking: one labeling request per stage, no snapshots
-///   (`on_snapshot` is never called), and the bootstrap on the calling
-///   thread: [`run_two_stage`], then
-///   [`stratified_bootstrap_cis`](crate::bootstrap::stratified_bootstrap_cis)
-///   on the same stream, bit for bit.
-/// * `Some(p)` — anytime: labeling in chunks of
-///   [`ProgressiveOptions::chunk`] labels, with a [`Snapshot`] after each;
-///   intermediate snapshots carry closed-form CIs and read no RNG. A run
-///   that spends its cap ends with the bootstrap split across free cores,
-///   so its final snapshot (`done`) and answer are **bit-identical** to
-///   the blocking answer for any chunk size and thread count. With
-///   [`ProgressiveOptions::target_ci_width`] set, the run stops at the
-///   first chunk boundary — once the pilot stage is complete and the
-///   draws so far hold a positive — where the primary (first) aggregate's
-///   snapshot CI is narrower than the target, charging only the budget
-///   consumed, and answers with that snapshot. A snapshot without a CI
-///   never stops the run.
+/// `anytime` picks the mode: `None` blocks, answering bit for bit like
+/// [`run_two_stage`] then
+/// [`stratified_bootstrap_cis`](crate::bootstrap::stratified_bootstrap_cis)
+/// on one stream; `Some(p)` reports a [`Snapshot`] after every chunk of
+/// labels. An anytime run stops early once the pilot is complete, the
+/// draws so far hold a positive, and the primary aggregate's CI is
+/// narrower than [`ProgressiveOptions::target_ci_width`]. DESIGN.md,
+/// "Running tallies and anytime snapshots", describes the schedule.
 ///
 /// A stratification depends only on the scores and `K`, so a stored one
 /// answers bit for bit like a fresh sort; its own `K` is the one sampled.
@@ -491,66 +411,12 @@ pub fn run_abae_stratified<O: Oracle, R: Rng + ?Sized>(
     mut on_snapshot: impl FnMut(&Snapshot),
 ) -> Result<MultiAggResult, ConfigError> {
     config.validate()?;
-    let (chunk, target, threads) = match anytime {
-        None => (usize::MAX, None, ReplicateThreads::Calling),
-        Some(p) => {
-            p.validate()?;
-            let chunk = p.chunk.unwrap_or(config.exec.batch_size).max(1);
-            (chunk, p.target_ci_width, ReplicateThreads::FreeCores)
-        }
-    };
-    let sizes = strat.sizes();
-
-    let mut stopping: Option<Snapshot> = None;
-    let run = {
-        let mut observe = |strata: &[StratumEstimate], spent: u64, pilot_complete: bool| -> bool {
-            if anytime.is_none() {
-                return false;
-            }
-            let mut snap = snapshot_from_estimates(strata, aggs, config.bootstrap.alpha, spent);
-            // The stopping rule only applies once the pilot stage is
-            // complete: partial-pilot CIs can degenerate to zero width
-            // (e.g. an all-negative first stratum) and would stop bogusly.
-            // For the same reason it never stops while the draws so far
-            // hold no positive: an `AVG` then has no CI, and a `COUNT` or
-            // `SUM` has a degenerate [0, 0] at any spend.
-            let positives = strata.iter().any(|s| s.positives > 0);
-            let stop = match (target, snap.answers.first().and_then(|a| a.ci)) {
-                (Some(w), Some(ci)) => pilot_complete && positives && ci.width() < w,
-                _ => false,
-            };
-            snap.done = stop;
-            on_snapshot(&snap);
-            if stop {
-                stopping = Some(snap);
-            }
-            stop
-        };
-        two_stage_chunked(strat, oracle, config, chunk, rng, &mut observe)
-    };
-
-    if run.stopped {
-        let snap = stopping.expect("a stopped run records its stopping snapshot");
-        return Ok(MultiAggResult { answers: snap.answers, oracle_calls: run.oracle_calls });
-    }
-
-    // A complete run: final estimates from the draw-order samples,
-    // bootstrap CIs from the caller's RNG at the same stream position in
-    // either mode.
-    let cis = bootstrap_cis_on(threads, &run.samples, &sizes, aggs, &config.bootstrap, rng);
-    let answers: Vec<AggAnswer> = aggs
-        .iter()
-        .zip(cis)
-        .map(|(&agg, ci)| AggAnswer { agg, estimate: combine_estimate(agg, &run.strata), ci })
-        .collect();
-    if anytime.is_some() {
-        on_snapshot(&Snapshot {
-            answers: answers.clone(),
-            budget_spent: run.budget_spent,
-            done: true,
-        });
-    }
-    Ok(MultiAggResult { answers, oracle_calls: run.oracle_calls })
+    anytime.map_or(Ok(()), ProgressiveOptions::validate)?;
+    let calls_before = oracle.calls();
+    let sampler = TwoStage::new(strat, oracle, config, aggs);
+    let emit = |answers, budget_spent, done| on_snapshot(&Snapshot { answers, budget_spent, done });
+    let answers = schedule::run(sampler, anytime, config.exec.batch_size, rng, emit);
+    Ok(MultiAggResult { answers, oracle_calls: oracle.calls() - calls_before })
 }
 
 #[cfg(test)]
@@ -1084,6 +950,36 @@ mod tests {
             .collect()
     }
 
+    /// What a look past the stage boundary of a run without sample reuse
+    /// answers after `spent` labels, rebuilt from a reuse-enabled run's
+    /// draws (the same draws): each stratum's prefix of the Stage-2 draw
+    /// order, `samples[s][n1_s..]`, folded by `from_draws`, then every
+    /// aggregate's estimate and closed-form CI at `alpha`.
+    fn reference_stage2_snapshot(
+        run: &TwoStageRun,
+        sizes: &[usize],
+        aggs: &[Aggregate],
+        alpha: f64,
+        spent: u64,
+    ) -> Vec<(u64, Option<[u64; 3]>)> {
+        let n1: Vec<usize> = run.pilot.iter().map(|e| e.draws).collect();
+        let stage2 = (0..sizes.len())
+            .flat_map(|s| std::iter::repeat(s).take(run.samples[s].len() - n1[s]));
+        let mut prefix = vec![0usize; sizes.len()];
+        for s in stage2.take(spent as usize - n1.iter().sum::<usize>()) {
+            prefix[s] += 1;
+        }
+        let strata: Vec<StratumEstimate> = (0..sizes.len())
+            .map(|s| StratumEstimate::from_draws(sizes[s], &run.samples[s][n1[s]..][..prefix[s]]))
+            .collect();
+        aggs.iter()
+            .map(|&agg| {
+                let ci = closed_form_ci(agg, &strata, alpha);
+                (combine_estimate(agg, &strata).to_bits(), ci_bits(ci))
+            })
+            .collect()
+    }
+
     #[test]
     fn intermediate_snapshots_fold_the_blocking_runs_draws_in_draw_order() {
         let (scores, labels, values) = make_population(10_000);
@@ -1100,36 +996,48 @@ mod tests {
         let run = run_two_stage(&strat, &oracle(), &cfg, aggs[0], &mut rng).unwrap();
         let n1: u64 = run.pilot.iter().map(|e| e.draws as u64).sum();
         assert!(n1 < run.oracle_calls, "Stage 2 has draws");
-        for chunk in [1usize, 64, 4096] {
-            let mut snaps: Vec<Snapshot> = Vec::new();
-            let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
-            run_abae_stratified(
-                &strat,
-                &oracle(),
-                &cfg,
-                &aggs,
-                Some(&opts),
-                &mut StdRng::seed_from_u64(17),
-                |s| snaps.push(s.clone()),
-            )
-            .unwrap();
-            let (last, intermediate) = snaps.split_last().expect("a final snapshot");
-            assert!(last.done, "chunk {chunk}");
-            // A look at every chunk boundary inside each stage and one at
-            // the stage boundary: at chunk 4096 that one is the only look.
-            let c = chunk as u64;
-            let looks: Vec<u64> = (1..)
-                .map(|i| i * c)
-                .take_while(|&x| x < n1)
-                .chain(std::iter::once(n1))
-                .chain((1..).map(|i| n1 + i * c).take_while(|&x| x < run.oracle_calls))
-                .collect();
-            let spends: Vec<u64> = intermediate.iter().map(|s| s.budget_spent).collect();
-            assert_eq!(spends, looks, "chunk {chunk}");
-            for snap in intermediate {
-                let spent = snap.budget_spent;
-                let want = reference_snapshot(&run, &sizes, &aggs, cfg.bootstrap.alpha, spent);
-                assert_eq!(answer_bits(snap), want, "chunk {chunk}, spent {spent}");
+        // Without reuse the draws are the same (they never read a label);
+        // only what a look folds changes.
+        for reuse in [SampleReuse::Enabled, SampleReuse::Disabled] {
+            let cfg = AbaeConfig { reuse, ..cfg };
+            for chunk in [1usize, 64, 4096] {
+                let mut snaps: Vec<Snapshot> = Vec::new();
+                let opts = ProgressiveOptions { chunk: Some(chunk), target_ci_width: None };
+                run_abae_stratified(
+                    &strat,
+                    &oracle(),
+                    &cfg,
+                    &aggs,
+                    Some(&opts),
+                    &mut StdRng::seed_from_u64(17),
+                    |s| snaps.push(s.clone()),
+                )
+                .unwrap();
+                let (last, intermediate) = snaps.split_last().expect("a final snapshot");
+                assert!(last.done, "{reuse:?}, chunk {chunk}");
+                // A look at every chunk boundary inside each stage and one at
+                // the stage boundary: at chunk 4096 that one is the only look.
+                let c = chunk as u64;
+                let looks: Vec<u64> = (1..)
+                    .map(|i| i * c)
+                    .take_while(|&x| x < n1)
+                    .chain(std::iter::once(n1))
+                    .chain((1..).map(|i| n1 + i * c).take_while(|&x| x < run.oracle_calls))
+                    .collect();
+                let spends: Vec<u64> = intermediate.iter().map(|s| s.budget_spent).collect();
+                assert_eq!(spends, looks, "{reuse:?}, chunk {chunk}");
+                for snap in intermediate {
+                    let spent = snap.budget_spent;
+                    let alpha = cfg.bootstrap.alpha;
+                    // Up to the stage boundary a look folds the pilot prefix;
+                    // past it, without reuse, the Stage-2 prefix alone.
+                    let want = if reuse == SampleReuse::Disabled && spent > n1 {
+                        reference_stage2_snapshot(&run, &sizes, &aggs, alpha, spent)
+                    } else {
+                        reference_snapshot(&run, &sizes, &aggs, alpha, spent)
+                    };
+                    assert_eq!(answer_bits(snap), want, "{reuse:?}, chunk {chunk}, spent {spent}");
+                }
             }
         }
     }
